@@ -18,7 +18,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ShapeError
-from .model import Gate, ModelEval, MoEModel, evaluate_dataset
+from .model import Gate, ModelEval, MoEModel, evaluate_dataset, slot_macs, top1_slots
 from .nn import SgdConfig, forward_batch
 
 POLICIES = ("alpha_threshold", "base_confidence", "gate_confidence", "learned_gate")
@@ -73,14 +73,36 @@ class TradeoffCurve:
 
 def anytime_scores(model: MoEModel, x: np.ndarray) -> np.ndarray:
     """Per-expert scores: gate weight times (1 - max base class probability)."""
-    ev = evaluate_dataset(model, np.asarray(x, dtype=np.float64)[None, :])
-    return _scores(model, ev)[0]
+    run_none = lambda base_probs, gate_probs: np.zeros((1, model.num_experts), dtype=bool)
+    ev = evaluate_dataset(model, np.asarray(x, dtype=np.float64)[None, :], run_none)
+    return _scores(model, ev.base.probs, ev.gate_probs)[0]
 
 
-def _scores(model: MoEModel, ev: ModelEval) -> np.ndarray:
-    gate = ev.gate_probs[:, : model.num_experts]
-    uncertainty = 1.0 - ev.base.probs.max(axis=1)
-    return gate * uncertainty[:, None]
+def _scores(model: MoEModel, base_probs: np.ndarray, gate_probs: np.ndarray) -> np.ndarray:
+    uncertainty = 1.0 - base_probs.max(axis=1)
+    return gate_probs[:, : model.num_experts] * uncertainty[:, None]
+
+
+def _decide(model: MoEModel, cfg: AnytimeConfig, base_probs: np.ndarray, gate_probs: np.ndarray):
+    """Exit mask [N], executed slots [N, K], mixing weights [N, K] (None: the one slot as is)."""
+    gate = gate_probs[:, : model.num_experts]
+    if cfg.policy == "alpha_threshold":
+        executed = _scores(model, base_probs, gate_probs) >= cfg.tau
+        weights = np.where(executed, gate, 0.0)
+        if cfg.renormalize:
+            mass = weights.sum(axis=1, keepdims=True)
+            weights = np.divide(weights, mass, out=np.zeros_like(weights), where=mass > 0)
+        return ~executed.any(axis=1), executed, weights
+    # The other policies run the gate's argmax expert unless the row exits.
+    if cfg.policy == "base_confidence":
+        exited = base_probs.max(axis=1) >= cfg.tau
+    elif cfg.policy == "gate_confidence":
+        exited = gate.max(axis=1) < cfg.tau
+    else:  # learned_gate: the extra gate head votes for exiting; tau is unused.
+        if not model.has_exit_head:
+            raise ShapeError("learned_gate policy needs a gate with an exit head (K+1 rows)")
+        exited = gate_probs.argmax(axis=1) == model.num_experts
+    return exited, top1_slots(model, gate_probs) & ~exited[:, None], None
 
 
 @dataclass
@@ -91,87 +113,37 @@ class _BatchOutcome:
     macs: np.ndarray  # [N] int
 
 
-def _tail_and_ens_macs(model: MoEModel, ev: ModelEval, slots: np.ndarray) -> np.ndarray:
-    """MACs for running the given ensembler slots (plus the tails they need)."""
-    tail_cost = np.asarray(model.cost.macs_expert_tail)
-    ens_cost = np.asarray(model.cost.macs_ensembler)
-    tails = np.zeros_like(slots)
-    for k, ens in enumerate(model.ensemblers):
-        if ens.kind == "top2":
-            rows = slots[:, k]
-            tails[rows, ev.top_pair[rows, 0]] = True
-            tails[rows, ev.top_pair[rows, 1]] = True
-        else:
-            tails[:, k] |= slots[:, k]
-    return tails @ tail_cost + slots @ ens_cost
-
-
-def _predict_batch(
-    model: MoEModel, ev: ModelEval, cfg: AnytimeConfig
-) -> _BatchOutcome:
+def _predict_batch(model: MoEModel, ev: ModelEval, cfg: AnytimeConfig, d=None) -> _BatchOutcome:
+    """Combine, exit and count MACs for the policy's decision d (made from ev when not given)."""
     cfg.validate()
-    n = ev.base.probs.shape[0]
-    k = model.num_experts
-    gate = ev.gate_probs[:, :k]
-    base_gate_macs = model.cost.macs_base + model.cost.macs_gate
-
-    if cfg.policy == "alpha_threshold":
-        alpha = _scores(model, ev)
-        executed = alpha >= cfg.tau
-        exited = ~executed.any(axis=1)
-        weights = np.where(executed, gate, 0.0)
-        if cfg.renormalize:
-            mass = weights.sum(axis=1, keepdims=True)
-            weights = np.divide(weights, mass, out=np.zeros_like(weights), where=mass > 0)
+    exited, executed, weights = d or _decide(model, cfg, ev.base.probs, ev.gate_probs)
+    if weights is None:
+        probs = ev.combined[executed.argmax(axis=1), np.arange(len(exited))]
+    else:
         probs = np.einsum("nk,knc->nc", weights, ev.combined)
-        probs[exited] = ev.base.probs[exited]
-        macs = np.full(n, base_gate_macs) + _tail_and_ens_macs(model, ev, executed)
-        return _BatchOutcome(probs, exited, executed, macs)
-
-    if cfg.policy == "base_confidence":
-        exited = ev.base.probs.max(axis=1) >= cfg.tau
-        chosen = gate.argmax(axis=1)
-        executed = np.zeros((n, k), dtype=bool)
-        executed[~exited, chosen[~exited]] = True
-        probs = ev.combined[chosen, np.arange(n)].copy()
-        probs[exited] = ev.base.probs[exited]
-        # The exit test only needs the base output, so exits skip the gate.
-        macs = np.where(exited, model.cost.macs_base, base_gate_macs)
-        macs = macs + _tail_and_ens_macs(model, ev, executed)
-        return _BatchOutcome(probs, exited, executed, macs)
-
-    if cfg.policy == "gate_confidence":
-        exited = gate.max(axis=1) < cfg.tau
-        chosen = gate.argmax(axis=1)
-        executed = np.zeros((n, k), dtype=bool)
-        executed[~exited, chosen[~exited]] = True
-        probs = ev.combined[chosen, np.arange(n)].copy()
-        probs[exited] = ev.base.probs[exited]
-        macs = np.full(n, base_gate_macs) + _tail_and_ens_macs(model, ev, executed)
-        return _BatchOutcome(probs, exited, executed, macs)
-
-    # learned_gate: the extra gate head votes for exiting; tau is unused.
-    if not model.has_exit_head:
-        raise ShapeError("learned_gate policy needs a gate with an exit head (K+1 rows)")
-    full = ev.gate_probs
-    exited = full.argmax(axis=1) == k
-    chosen = full[:, :k].argmax(axis=1)
-    executed = np.zeros((n, k), dtype=bool)
-    executed[~exited, chosen[~exited]] = True
-    probs = ev.combined[chosen, np.arange(n)].copy()
     probs[exited] = ev.base.probs[exited]
-    macs = np.full(n, base_gate_macs) + _tail_and_ens_macs(model, ev, executed)
+    # base_confidence's exit test only needs the base output, so its exits skip the gate.
+    gate_ran = ~exited if cfg.policy == "base_confidence" else np.ones_like(exited)
+    cost = model.cost
+    macs = cost.macs_base + gate_ran * cost.macs_gate + slot_macs(model, ev.top_pair, executed)
     return _BatchOutcome(probs, exited, executed, macs)
 
 
 def anytime_predict(model: MoEModel, x: np.ndarray, cfg: AnytimeConfig) -> PredictOutcome:
-    """Predict one sample under the early-exit rule.
+    """Predict one sample under the early-exit rule, running only the experts it picks.
 
     tau=1 always exits (scores never reach 1), reproducing the base
     model's output exactly; tau=0 never exits and runs every expert.
     """
-    ev = evaluate_dataset(model, np.asarray(x, dtype=np.float64)[None, :])
-    out = _predict_batch(model, ev, cfg)
+    cfg.validate()
+    decided = []
+
+    def select(base_probs: np.ndarray, gate_probs: np.ndarray) -> np.ndarray:
+        decided.append(_decide(model, cfg, base_probs, gate_probs))
+        return decided[0][1]
+
+    ev = evaluate_dataset(model, np.asarray(x, dtype=np.float64)[None, :], select)
+    out = _predict_batch(model, ev, cfg, decided[0])
     return PredictOutcome(
         probs=out.probs[0],
         exited=bool(out.exited[0]),
@@ -259,18 +231,10 @@ def select_threshold(
     tau=0 (run everything) is the reference; returns 0.0 when no
     candidate threshold qualifies.
     """
-    ev = evaluate_dataset(model, ds.features)
-    reference = _predict_batch(model, ev, AnytimeConfig(0.0, policy))
-    ref_acc = float((reference.probs.argmax(axis=1) == ds.labels).mean())
-    best = 0.0
-    found = False
-    for tau in taus:
-        out = _predict_batch(model, ev, AnytimeConfig(float(tau), policy))
-        acc = float((out.probs.argmax(axis=1) == ds.labels).mean())
-        if acc >= ref_acc - max_accuracy_drop and (not found or tau > best):
-            best = float(tau)
-            found = True
-    return best
+    curve = sweep_thresholds(model, ds, [0.0, *taus], policy)
+    ref_acc = curve.points[0].accuracy
+    passing = [p.tau for p in curve.points[1:] if p.accuracy >= ref_acc - max_accuracy_drop]
+    return max(passing, default=0.0)
 
 
 def ilp_exit_assignment(model: MoEModel, ds: LabeledDataset, tau: float) -> np.ndarray:

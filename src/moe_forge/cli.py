@@ -23,11 +23,11 @@ from .analysis import (
     oracle_per_class_eval,
     specialization_table,
 )
-from .anytime import CURVE_HEADER, convex_envelope, sweep_thresholds
+from .anytime import convex_envelope, sweep_thresholds
 from .data import LabeledDataset, SyntheticSpec, generate_synthetic, load_csv, split
 from .errors import ConfigError, DataError, MoeForgeError, PipelineError
 from .gate_init import initial_gate, per_class_assignment
-from .model import ExecutionTrace, MoEModel, evaluate_dataset, load_model, mac_count, save_model
+from .model import MoEModel, evaluate_dataset, load_model, save_model, slot_macs, top1_slots
 from .nn import SgdConfig, forward_batch
 from .training import TrainPlan, plan_to_doc, run_pipeline
 
@@ -235,23 +235,13 @@ def _hash_file(path: Path) -> str:
 
 
 def _top1_metrics(model: MoEModel, ds: LabeledDataset) -> tuple[float, float]:
-    """Top-1 routed accuracy and the constant per-sample MAC count."""
+    """Top-1 routed accuracy and the mean per-sample MAC count."""
     ev = evaluate_dataset(model, ds.features)
-    chosen = ev.gate_probs[:, : model.num_experts].argmax(axis=1)
-    probs = ev.combined[chosen, np.arange(len(ds))]
+    slots = top1_slots(model, ev.gate_probs)
+    probs = ev.combined[slots.argmax(axis=1), np.arange(len(ds))]
     accuracy = float((probs.argmax(axis=1) == ds.labels).mean())
-    tails: set[int] = set()
-    macs = 0.0
-    for i in range(len(ds)):
-        k = int(chosen[i])
-        if model.ensemblers[k].kind == "top2":
-            tail_idx = tuple(int(t) for t in ev.top_pair[i])
-        else:
-            tail_idx = (k,)
-        macs += mac_count(
-            model, ExecutionTrace(expert_tails=tail_idx, ensemblers=(k,))
-        )
-    return accuracy, macs / len(ds)
+    per_row = model.cost.macs_base + model.cost.macs_gate + slot_macs(model, ev.top_pair, slots)
+    return accuracy, float(per_row.sum()) / len(ds)
 
 
 def cmd_train(config_path: str) -> int:
@@ -347,9 +337,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         taus = [float(t) for t in args.taus.split(",")]
         curve = sweep_thresholds(model, ds, taus, policy=args.policy)
         envelope = convex_envelope(curve.points)
-        print(CURVE_HEADER)
-        for p in curve.points:
-            print(f"{p.tau!r},{p.accuracy!r},{p.mean_macs!r},{p.exit_ratio!r}")
+        print(curve.to_csv(), end="")
         if out_dir is not None:
             curve.save(out_dir / "tradeoff.csv")
             envelope.save(out_dir / "envelope.csv")

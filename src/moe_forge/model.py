@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -182,14 +182,16 @@ class MoEModel:
 
     def ensemble_output(self, k: int, x: np.ndarray) -> np.ndarray:
         """Class probabilities of expert k combined with the base by its ensembler."""
-        ev = evaluate_dataset(self, np.asarray(x, dtype=np.float64)[None, :])
         if not 0 <= k < self.num_experts:
             raise ShapeError(f"expert index {k} out of range")
+        only_k = lambda base_probs, gate_probs: (np.arange(self.num_experts) == k)[None, :]
+        ev = evaluate_dataset(self, np.asarray(x, dtype=np.float64)[None, :], only_k)
         return ev.combined[k, 0]
 
     def top1_predict(self, x: np.ndarray) -> tuple[np.ndarray, int]:
         """Route to the gate's argmax expert; ties pick the lower index."""
-        ev = evaluate_dataset(self, np.asarray(x, dtype=np.float64)[None, :])
+        select = lambda base_probs, gate_probs: top1_slots(self, gate_probs)
+        ev = evaluate_dataset(self, np.asarray(x, dtype=np.float64)[None, :], select)
         chosen = int(ev.gate_probs[0, : self.num_experts].argmax())
         return ev.combined[chosen, 0], chosen
 
@@ -263,38 +265,80 @@ class ModelEval:
 
     base: ForwardPass
     gate_probs: np.ndarray  # [N, rows]
-    expert_probs: np.ndarray  # [K, N, C] raw expert outputs
-    combined: np.ndarray  # [K, N, C] ensembled outputs e'_k
+    expert_probs: np.ndarray  # [K, N, C] raw expert outputs, zero where a tail did not run
+    combined: np.ndarray  # [K, N, C] ensembled outputs e'_k, zero where a slot did not run
     top_pair: np.ndarray  # [N, 2] gate's two strongest experts
 
 
-def evaluate_dataset(model: MoEModel, x: np.ndarray) -> ModelEval:
-    """Run every component over a feature matrix once."""
+def top1_slots(model: MoEModel, gate_probs: np.ndarray) -> np.ndarray:
+    """[N, K] one-hot slots of the gate's argmax expert; ties pick the lower index."""
+    chosen = gate_probs[:, : model.num_experts].argmax(axis=1)
+    return np.arange(model.num_experts) == chosen[:, None]
+
+
+def _slot_tails(model: MoEModel, top_pair: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """[N, K] tails the [N, K] slots need: a top2 slot its row's top pair, any other its own."""
+    top2 = np.array([ens.kind == "top2" for ens in model.ensemblers])
+    if not top2.any():
+        return slots
+    tails = slots & ~top2
+    rows = slots[:, top2].any(axis=1)
+    tails[rows, top_pair[rows, 0]] = True
+    tails[rows, top_pair[rows, 1]] = True
+    return tails
+
+
+def slot_macs(model: MoEModel, top_pair: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """[N] MACs of the given ensembler slots plus the expert tails they need."""
+    cost = model.cost
+    tails = _slot_tails(model, top_pair, slots)
+    return tails @ np.asarray(cost.macs_expert_tail) + slots @ np.asarray(cost.macs_ensembler)
+
+
+def _row_sets(mask: np.ndarray):
+    """(j, rows) per column j of an [N, K] mask that sets a row; a full slice if it sets all."""
+    full = mask.all(axis=0)
+    for j in np.flatnonzero(mask.any(axis=0)):
+        yield j, slice(None) if full[j] else np.flatnonzero(mask[:, j])
+
+
+def evaluate_dataset(model: MoEModel, x: np.ndarray, select: Callable | None = None) -> ModelEval:
+    """Run the model over a feature matrix.
+
+    The shared prefix, base tail and gate always run on every row.  Without
+    ``select`` every expert tail and ensembler runs on every row too.  Given
+    ``select(base probs, gate probs) -> [N, K] bool`` ensembler slots, only
+    the slots it selects and the expert tails they need run on each row; the
+    outputs of the rest stay zero.
+    """
     x = np.asarray(x, dtype=np.float64)
     fp = forward_batch(model.base, x)
     gate_probs = model.gate.distribution_batch(fp.prelogits)
     k = model.num_experts
     n, c = fp.probs.shape
-    expert_probs = np.empty((k, n, c))
-    for j, expert in enumerate(model.experts):
-        expert_probs[j] = forward_batch(expert, fp.tap).probs
+    # With one expert the pair is that expert twice.
+    top_pair = np.argsort(-gate_probs[:, :k], axis=1, kind="stable")[:, [0, min(1, k - 1)]]
 
-    expert_gate = gate_probs[:, :k]
-    if k >= 2:
-        order = np.argsort(-expert_gate, axis=1, kind="stable")
-        top_pair = order[:, :2]
+    if select is None:
+        slots = tails = np.ones((n, k), dtype=bool)
     else:
-        top_pair = np.zeros((n, 2), dtype=np.int64)
+        slots = np.asarray(select(fp.probs, gate_probs), dtype=bool)
+        if slots.shape != (n, k):
+            raise ShapeError(f"slot selector must return [{n}, {k}], got {slots.shape}")
+        tails = _slot_tails(model, top_pair, slots)
 
-    combined = np.empty_like(expert_probs)
-    rows = np.arange(n)
-    for j, ens in enumerate(model.ensemblers):
+    expert_probs = np.zeros((k, n, c))
+    for j, rows in _row_sets(tails):
+        expert_probs[j, rows] = forward_batch(model.experts[j], fp.tap[rows]).probs
+
+    combined = np.zeros_like(expert_probs)
+    for j, rows in _row_sets(slots):
+        ens = model.ensemblers[j]
         if ens.kind == "top2":
-            first = expert_probs[top_pair[:, 0], rows]
-            second = expert_probs[top_pair[:, 1], rows]
-            combined[j] = 0.5 * (first + second)
+            pair, at = top_pair[rows], np.arange(n)[rows]
+            combined[j, rows] = 0.5 * (expert_probs[pair[:, 0], at] + expert_probs[pair[:, 1], at])
         else:
-            combined[j] = apply_ensembler(ens, fp.probs, expert_probs[j])
+            combined[j, rows] = apply_ensembler(ens, fp.probs[rows], expert_probs[j, rows])
     return ModelEval(
         base=fp,
         gate_probs=gate_probs,

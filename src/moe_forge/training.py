@@ -593,6 +593,7 @@ def run_pipeline(
         init = initial_gate(fp.prelogits, centroids, plan.temperature)
         payload = {
             "centroid_means": centroids.means,
+            "inertia_history": centroids.inertia_history,
             "temperature": init.temperature,
             "weights": init.weights,
             "class_map": None,
@@ -604,7 +605,8 @@ def run_pipeline(
 
     def restore_init(p: dict) -> None:
         means = np.asarray(p["centroid_means"], dtype=np.float64)
-        state["centroids"] = Centroids(means=means.reshape(plan.num_experts, -1))
+        history = tuple(map(float, p.get("inertia_history", ())))  # older stage files lack it
+        state["centroids"] = Centroids(means.reshape(plan.num_experts, -1), history)
         state["init"] = InitialGate(
             weights=np.asarray(p["weights"], dtype=np.float64).reshape(len(ds), plan.num_experts),
             temperature=float(p["temperature"]),

@@ -8,6 +8,7 @@ import pytest
 
 from moe_forge.anytime import (
     CURVE_HEADER,
+    POLICIES,
     AnytimeConfig,
     CurvePoint,
     TradeoffCurve,
@@ -19,11 +20,12 @@ from moe_forge.anytime import (
     select_threshold,
     sweep_thresholds,
     train_exit_gate,
+    _predict_batch,
 )
 from moe_forge.data import LabeledDataset
 from moe_forge.errors import ShapeError
 from moe_forge.model import Ensembler, Gate, MoEModel, evaluate_dataset
-from moe_forge.nn import Layer, Network, SgdConfig
+from moe_forge.nn import Layer, Network, SgdConfig, forward_batch
 
 from conftest import blob_dataset, random_model
 
@@ -452,3 +454,98 @@ class TestExitGateTraining:
     def test_misshapen_labels_rejected(self):
         with pytest.raises(ShapeError):
             train_exit_gate(self.model, self.ds, np.zeros(3, dtype=np.int64), self.cfg)
+
+
+ENSEMBLER_KINDS = ("none", "bagging", "stacking", "top2")
+POLICY_TAUS = (0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
+
+
+def with_exit_head(model: MoEModel, rng: np.random.Generator, x: np.ndarray) -> MoEModel:
+    """The same model with a random exit row added to its gate; it wins on about half of x."""
+    prelogits = forward_batch(model.base, x).prelogits
+    exit_weight = rng.normal(size=model.gate.in_dim)
+    best_expert = (prelogits @ model.gate.weight.T + model.gate.bias).max(axis=1)
+    gate = Gate(
+        weight=np.vstack([model.gate.weight, exit_weight]),
+        bias=np.append(model.gate.bias, np.median(best_expert - prelogits @ exit_weight)),
+    )
+    return MoEModel(
+        base=model.base, gate=gate, experts=model.experts,
+        ensemblers=model.ensemblers, shared_prefix=model.shared_prefix,
+    )
+
+
+def count_expert_forwards(monkeypatch, model: MoEModel) -> list:
+    """Record every forward_batch call the model module makes on one of the model's experts."""
+    import moe_forge.model as model_mod
+
+    calls = []
+    original = model_mod.forward_batch
+
+    def counting(net, x):
+        if any(net is e for e in model.experts):
+            calls.append(len(x))
+        return original(net, x)
+
+    monkeypatch.setattr(model_mod, "forward_batch", counting)
+    return calls
+
+
+class TestConditionalExecution:
+    """Per-sample calls run only the selected experts and match the dense evaluation bit for bit."""
+
+    @pytest.mark.parametrize("kind", ENSEMBLER_KINDS)
+    def test_per_sample_paths_equal_the_dense_evaluation(self, rng, kind):
+        x = rng.normal(size=(25, 4))
+        model = with_exit_head(random_model(rng, num_experts=4, ensembler=kind), rng, x)
+        seen = {policy: set() for policy in POLICIES}
+        for i in range(len(x)):
+            ev = evaluate_dataset(model, x[i : i + 1])
+            for policy in POLICIES:
+                for tau in POLICY_TAUS:
+                    cfg = AnytimeConfig(tau=tau, policy=policy)
+                    want = _predict_batch(model, ev, cfg)
+                    got = anytime_predict(model, x[i], cfg)
+                    assert np.array_equal(got.probs, want.probs[0])
+                    assert got.exited == bool(want.exited[0])
+                    assert got.executed_experts == tuple(np.flatnonzero(want.executed[0]))
+                    assert got.macs == int(want.macs[0])
+                    seen[policy].add(got.exited)
+            probs, chosen = model.top1_predict(x[i])
+            assert chosen == int(ev.gate_probs[0, :4].argmax())
+            assert np.array_equal(probs, ev.combined[chosen, 0])
+            for k in range(4):
+                assert np.array_equal(model.ensemble_output(k, x[i]), ev.combined[k, 0])
+        # every policy both exited and ran experts on some row
+        assert seen == {policy: {True, False} for policy in POLICIES}
+
+    @pytest.mark.parametrize("kind", ENSEMBLER_KINDS)
+    def test_only_the_selected_expert_tails_run(self, rng, monkeypatch, kind):
+        model = random_model(rng, num_experts=4, ensembler=kind)
+        tails_per_slot_set = lambda slots: (2 if slots else 0) if kind == "top2" else len(slots)
+        calls = count_expert_forwards(monkeypatch, model)
+        x = rng.normal(size=(25, 4))
+        partial = 0
+        for row in x:
+            out = anytime_predict(model, row, AnytimeConfig(tau=1.0))
+            assert out.exited and calls == []
+            out = anytime_predict(model, row, AnytimeConfig(tau=0.0))
+            assert out.executed_experts == (0, 1, 2, 3)
+            assert len(calls) == (2 if kind == "top2" else 4)
+            calls.clear()
+            out = anytime_predict(model, row, AnytimeConfig(tau=0.1))
+            assert len(calls) == tails_per_slot_set(out.executed_experts)
+            partial += 0 < len(out.executed_experts) < 4
+            calls.clear()
+            model.top1_predict(row)
+            model.ensemble_output(3, row)
+            assert len(calls) == 2 * (2 if kind == "top2" else 1)
+            assert set(calls) == {1}
+            calls.clear()
+        assert partial > 0
+
+    def test_dense_evaluation_runs_every_expert_once_on_all_rows(self, rng, monkeypatch):
+        model = random_model(rng, num_experts=4, ensembler="top2")
+        calls = count_expert_forwards(monkeypatch, model)
+        evaluate_dataset(model, rng.normal(size=(9, 4)))
+        assert calls == [9, 9, 9, 9]

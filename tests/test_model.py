@@ -166,6 +166,20 @@ class TestModelOutputs:
         order = np.argsort(-ev.gate_probs[0, :3])
         np.testing.assert_array_equal(sorted(pair), sorted(order[:2]))
 
+    @pytest.mark.parametrize("kind", ("bagging", "stacking", "top2"))
+    def test_selected_slots_match_the_dense_pass_and_the_rest_stay_zero(self, rng, kind):
+        model = random_model(rng, num_experts=4, ensembler=kind)
+        x = rng.normal(size=(12, 4))
+        slots = rng.random((12, 4)) < 0.4
+        dense = evaluate_dataset(model, x)
+        ev = evaluate_dataset(model, x, lambda base_probs, gate_probs: slots)
+        np.testing.assert_array_equal(ev.base.probs, dense.base.probs)
+        np.testing.assert_array_equal(ev.top_pair, dense.top_pair)
+        np.testing.assert_allclose(ev.combined[slots.T], dense.combined[slots.T], rtol=0, atol=1e-12)
+        assert not ev.combined[~slots.T].any()
+        with pytest.raises(ShapeError, match="slot selector"):
+            evaluate_dataset(model, x, lambda base_probs, gate_probs: slots[:1])
+
     def test_gate_distribution_shape(self, rng):
         model = random_model(rng)
         probs = model.gate_distribution(rng.normal(size=4))

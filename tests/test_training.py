@@ -1,5 +1,6 @@
 """Gate fitting, expert training, the EM machinery, and the full pipeline."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from moe_forge.errors import PipelineError, ShapeError
 from moe_forge.gate_init import initial_gate, kmeans
 from moe_forge.jsonio import dumps
 from moe_forge.model import Ensembler, Gate, MoEModel, model_to_doc
+from moe_forge.seeding import derive_seed
 from moe_forge.nn import (
     Layer,
     Network,
@@ -488,6 +490,29 @@ class TestPipelineCheckpoints:
             "ensemblers": False,
         }
         assert dumps(model_to_doc(first.model)) == dumps(model_to_doc(again.model))
+
+    def test_fresh_and_resumed_runs_keep_the_kmeans_inertia_history(self, tmp_path):
+        ds = blob_dataset(seed=57, samples_per_mode=20)
+        plan = small_plan(num_experts=3)
+        fresh = run_pipeline(ds, plan, tmp_path)
+        prelogits = forward_batch(fresh.model.base, ds.features).prelogits
+        direct = kmeans(prelogits, 3, seed=derive_seed(plan.seed, "kmeans")).inertia_history
+        assert len(direct) >= 2
+        resumed = run_pipeline(ds, plan, tmp_path)
+        assert all(s.loaded for s in resumed.stages)
+        assert fresh.centroids.inertia_history == direct
+        assert resumed.centroids.inertia_history == direct
+
+    def test_stage_file_without_inertia_history_restores_an_empty_one(self, tmp_path):
+        ds = blob_dataset(seed=58, samples_per_mode=15)
+        first = run_pipeline(ds, small_plan(), tmp_path)
+        path = tmp_path / "stages" / "gate_init.json"
+        doc = json.loads(path.read_text())
+        del doc["payload"]["inertia_history"]
+        path.write_text(json.dumps(doc))
+        again = run_pipeline(ds, small_plan(), tmp_path)
+        assert again.centroids.inertia_history == ()
+        np.testing.assert_array_equal(again.centroids.means, first.centroids.means)
 
     def test_checkpoints_from_a_different_plan_refuse_to_load(self, tmp_path):
         ds = blob_dataset(seed=53, samples_per_mode=15)
