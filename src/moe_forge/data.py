@@ -270,7 +270,10 @@ def weighted_batches(
         raise ValueError("weights must not be all zero")
     if batch_size < 1:
         raise ValueError("batch_size must be positive")
-    probs = weights / total
+    # The draw Generator.choice(n, size, p=weights / total) makes, without
+    # re-validating and re-summing p on every call: same index stream.
+    cdf = (weights / total).cumsum()
+    cdf /= cdf[-1]
     rng = derive_rng(seed, "weighted-batches")
     while True:
-        yield rng.choice(len(dataset), size=batch_size, p=probs)
+        yield cdf.searchsorted(rng.random(batch_size), side="right")

@@ -46,9 +46,15 @@ class InitialGate:
 
 
 def _sq_distances(points: np.ndarray, means: np.ndarray) -> np.ndarray:
-    """Pairwise squared euclidean distances, [N, K]."""
-    diff = points[:, None, :] - means[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    """Pairwise squared euclidean distances, [N, K].
+
+    One cluster at a time, so the largest temporary is [N, dim], not [N, K, dim].
+    """
+    out = np.empty((points.shape[0], means.shape[0]))
+    for j, mean in enumerate(means):
+        diff = points - mean
+        out[:, j] = np.einsum("nd,nd->n", diff, diff)
+    return out
 
 
 def _plus_plus_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -58,7 +64,8 @@ def _plus_plus_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np
     means[0] = points[rng.integers(n)]
     closest = np.full(n, np.inf)
     for j in range(1, k):
-        dist = np.einsum("nd,nd->n", points - means[j - 1], points - means[j - 1])
+        diff = points - means[j - 1]
+        dist = np.einsum("nd,nd->n", diff, diff)
         closest = np.minimum(closest, dist)
         total = closest.sum()
         if total <= 0:
@@ -93,8 +100,8 @@ def kmeans(
     rng = derive_rng(seed, "kmeans")
     means = _plus_plus_seeds(points, k, rng)
     history: list[float] = []
+    dists = _sq_distances(points, means)
     for _ in range(max_iters):
-        dists = _sq_distances(points, means)
         assign = dists.argmin(axis=1)
         point_dist = dists[np.arange(n), assign]
         new_means = means.copy()
@@ -109,7 +116,9 @@ def kmeans(
                 point_dist[far] = 0.0  # don't hand the same point to two empty clusters
         shift = np.sqrt(((new_means - means) ** 2).sum(axis=1)).max()
         means = new_means
-        history.append(float(_sq_distances(points, means).min(axis=1).sum()))
+        # These distances give this update's inertia and the next assignment.
+        dists = _sq_distances(points, means)
+        history.append(float(dists.min(axis=1).sum()))
         if shift < tol:
             break
     return Centroids(means=means, inertia_history=tuple(history))

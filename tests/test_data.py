@@ -16,6 +16,7 @@ from moe_forge.data import (
 )
 from moe_forge.errors import DataError, ShapeError
 from moe_forge.gate_init import kmeans
+from moe_forge.seeding import derive_rng
 
 
 def spec(**overrides) -> SyntheticSpec:
@@ -230,6 +231,20 @@ class TestWeightedBatches:
         a = next(weighted_batches(ds, np.ones(len(ds)), 32, seed=9))
         b = next(weighted_batches(ds, np.ones(len(ds)), 32, seed=9))
         np.testing.assert_array_equal(a, b)
+
+    def test_stream_equals_generator_choice(self):
+        ds = generate_synthetic(spec()).dataset
+        n = len(ds)
+        for seed in range(4):
+            weights = np.random.default_rng(seed).uniform(0.0, 3.0, size=n) ** 3
+            weights[::5] = 0.0
+            stream = weighted_batches(ds, weights, batch_size=64, seed=seed)
+            rng = derive_rng(seed, "weighted-batches")
+            for _ in range(50):
+                expected = rng.choice(n, size=64, p=weights / weights.sum())
+                batch = next(stream)
+                assert batch.dtype == expected.dtype
+                np.testing.assert_array_equal(batch, expected)
 
     def test_negative_weights_rejected(self):
         ds = generate_synthetic(spec()).dataset

@@ -15,6 +15,8 @@ from moe_forge.gate_init import (
     per_class_assignment,
     smooth_weights,
 )
+from moe_forge.nn import softmax
+from moe_forge.seeding import derive_rng
 
 
 class TestKmeans:
@@ -72,6 +74,66 @@ class TestKmeans:
     def test_more_clusters_than_points_rejected(self, rng):
         with pytest.raises(ValueError):
             kmeans(rng.normal(size=(3, 2)), 4, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, dim, k", [(40, 3, 1), (200, 7, 5), (300, 64, 8), (6, 2, 3), (500, 16, 12)]
+    )
+    def test_equals_the_dense_distance_formula(self, n, dim, k):
+        points = np.random.default_rng(n + dim + k).normal(size=(n, dim))
+        if n == 6:
+            points[:3] = 0.0
+            points[3:] = 1.0  # fewer distinct points than clusters: empty-cluster re-seeding
+        for seed in range(3):
+            cent = kmeans(points, k, seed=seed)
+            means, history = dense_kmeans(points, k, seed)
+            np.testing.assert_array_equal(cent.means, means)
+            assert cent.inertia_history == history
+            gate = initial_gate(points, cent)
+            scores = -dense_sq_distances(points, cent.means) / median_sq_distance(cent)
+            np.testing.assert_array_equal(gate.weights, softmax(scores))
+
+
+def dense_sq_distances(points, means):
+    diff = points[:, None, :] - means[None, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def dense_kmeans(points, k, seed, max_iters=100, tol=1e-8):
+    """kmeans with an [N, K, dim] distance temporary and two distance passes per iteration."""
+    rng = derive_rng(seed, "kmeans")
+    n = len(points)
+    means = np.empty((k, points.shape[1]))
+    means[0] = points[rng.integers(n)]
+    closest = np.full(n, np.inf)
+    for j in range(1, k):
+        dist = np.einsum("nd,nd->n", points - means[j - 1], points - means[j - 1])
+        closest = np.minimum(closest, dist)
+        total = closest.sum()
+        if total <= 0:
+            means[j] = points[rng.integers(n)]
+        else:
+            means[j] = points[rng.choice(n, p=closest / total)]
+    history = []
+    for _ in range(max_iters):
+        dists = dense_sq_distances(points, means)
+        assign = dists.argmin(axis=1)
+        point_dist = dists[np.arange(n), assign]
+        new_means = means.copy()
+        for j in range(k):
+            members = assign == j
+            if members.any():
+                new_means[j] = points[members].mean(axis=0)
+            else:
+                far = int(point_dist.argmax())
+                new_means[j] = points[far]
+                point_dist = point_dist.copy()
+                point_dist[far] = 0.0
+        shift = np.sqrt(((new_means - means) ** 2).sum(axis=1)).max()
+        means = new_means
+        history.append(float(dense_sq_distances(points, means).min(axis=1).sum()))
+        if shift < tol:
+            break
+    return means, tuple(history)
 
 
 class TestInitialGate:

@@ -1,0 +1,111 @@
+"""The JSON encoder: the bulk float-array path against the generic list path, and atomic saves."""
+
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from moe_forge import jsonio
+from moe_forge.jsonio import _encode, dumps, load_json, save_json
+from moe_forge.model import model_to_doc
+
+from conftest import random_model
+
+
+def _as_lists(obj):
+    """The same document with every ndarray turned into nested lists."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _as_lists(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_as_lists(item) for item in obj]
+    return obj
+
+
+def generic(obj, indent=None) -> str:
+    """Encoding through the per-element list path only."""
+    out: list[str] = []
+    _encode(_as_lists(obj), out, indent, 0)
+    return "".join(out)
+
+
+SPECIAL = [5e-324, -5e-324, 2.2250738585072014e-308, -0.0, 0.0, 1e308, -1e308, 1e300, 0.1, 1 / 3]
+
+
+class TestFloatArrays:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("shape", [(0,), (1,), (9,), (4, 5), (3, 0), (0, 2), (2, 3, 4)])
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_equals_the_generic_path(self, rng, dtype, shape, indent):
+        scale = 10.0 ** rng.integers(-30, 30, size=shape)
+        arr = (rng.standard_normal(shape) * scale).astype(dtype)
+        assert dumps(arr, indent=indent) == generic(arr, indent=indent)
+
+    @pytest.mark.parametrize("indent", [None, 2])
+    def test_extreme_values_equal_the_generic_path(self, indent):
+        arr = np.array(SPECIAL)
+        assert dumps(arr, indent=indent) == generic(arr, indent=indent)
+        assert dumps(arr) == "[" + ", ".join(f"{x:.17g}" for x in SPECIAL) + "]"
+        wide = np.array([SPECIAL, SPECIAL[::-1]])
+        assert dumps({"w": wide}, indent=indent) == generic({"w": wide}, indent=indent)
+
+    def test_int_bool_and_zero_dim_arrays_keep_their_text(self):
+        doc = {"i": np.arange(4), "b": np.array([True, False]), "s": np.array(2.5)}
+        assert dumps(doc) == '{"i": [0, 1, 2, 3], "b": [true, false], "s": 2.5}'
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_non_finite_raises_the_scalar_message(self, bad, dtype):
+        for arr in (np.array([1.0, bad, 2.0]), np.array([[1.0, 2.0], [3.0, bad]])):
+            arr = arr.astype(dtype)
+            with pytest.raises(ValueError) as fast:
+                dumps(arr)
+            with pytest.raises(ValueError) as slow:
+                generic(arr)
+            assert str(fast.value) == str(slow.value) == f"cannot serialize non-finite float {bad!r}"
+
+    @pytest.mark.parametrize("ensembler", ["bagging", "stacking"])
+    def test_model_doc_equals_the_generic_encoding(self, rng, ensembler):
+        doc = model_to_doc(random_model(rng, ensembler=ensembler))
+        assert dumps(doc) == generic(doc)
+
+
+class TestSaveJson:
+    def test_writes_dumps_text_through_the_module_dumps(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting_dumps(obj, indent=None):
+            calls.append(obj)
+            return dumps(obj, indent=indent)
+
+        monkeypatch.setattr(jsonio, "dumps", counting_dumps)
+        doc = {"a": np.arange(3.0), "b": [1, "x"]}
+        save_json(tmp_path / "doc.json", doc, indent=2)
+        assert len(calls) == 1
+        assert (tmp_path / "doc.json").read_text() == dumps(doc, indent=2) + "\n"
+        assert load_json(tmp_path / "doc.json") == {"a": [0.0, 1.0, 2.0], "b": [1, "x"]}
+
+    def test_failed_write_leaves_the_previous_file_and_no_temp_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "model.json"
+        save_json(path, {"version": 1})
+        before = path.read_bytes()
+        real_write_text = Path.write_text
+
+        def write_half_then_fail(self, text, *args, **kwargs):
+            real_write_text(self, text[: len(text) // 2], *args, **kwargs)
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_json(path, {"version": 2, "weights": np.ones(100)})
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+    def test_unencodable_document_touches_nothing(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_json(path, {"version": 1})
+        with pytest.raises(ValueError):
+            save_json(path, {"weights": np.array([np.nan])})
+        assert load_json(path) == {"version": 1}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
