@@ -88,11 +88,14 @@ def _decide(model: MoEModel, cfg: AnytimeConfig, base_probs: np.ndarray, gate_pr
     gate = gate_probs[:, : model.num_experts]
     if cfg.policy == "alpha_threshold":
         executed = _scores(model, base_probs, gate_probs) >= cfg.tau
+        exited = ~executed.any(axis=1)
+        if exited.all():  # no row mixes anything, so every weight is zero
+            return exited, executed, np.zeros_like(gate)
         weights = np.where(executed, gate, 0.0)
         if cfg.renormalize:
             mass = weights.sum(axis=1, keepdims=True)
             weights = np.divide(weights, mass, out=np.zeros_like(weights), where=mass > 0)
-        return ~executed.any(axis=1), executed, weights
+        return exited, executed, weights
     # The other policies run the gate's argmax expert unless the row exits.
     if cfg.policy == "base_confidence":
         exited = base_probs.max(axis=1) >= cfg.tau
@@ -117,15 +120,18 @@ def _predict_batch(model: MoEModel, ev: ModelEval, cfg: AnytimeConfig, d=None) -
     """Combine, exit and count MACs for the policy's decision d (made from ev when not given)."""
     cfg.validate()
     exited, executed, weights = d or _decide(model, cfg, ev.base.probs, ev.gate_probs)
-    if weights is None:
-        probs = ev.combined[executed.argmax(axis=1), np.arange(len(exited))]
+    if exited.all():  # every row takes the base output, so skip the combine
+        probs = ev.base.probs.copy()
     else:
-        probs = np.einsum("nk,knc->nc", weights, ev.combined)
-    probs[exited] = ev.base.probs[exited]
+        if weights is None:
+            probs = ev.combined[executed.argmax(axis=1), np.arange(len(exited))]
+        else:
+            probs = np.einsum("nk,knc->nc", weights, ev.combined)
+        probs[exited] = ev.base.probs[exited]
     # base_confidence's exit test only needs the base output, so its exits skip the gate.
-    gate_ran = ~exited if cfg.policy == "base_confidence" else np.ones_like(exited)
+    gate_ran = ~exited if cfg.policy == "base_confidence" else True
     cost = model.cost
-    macs = cost.macs_base + gate_ran * cost.macs_gate + slot_macs(model, ev.top_pair, executed)
+    macs = cost.macs_base + gate_ran * cost.macs_gate + slot_macs(model, ev.gate_probs, executed)
     return _BatchOutcome(probs, exited, executed, macs)
 
 
@@ -147,7 +153,7 @@ def anytime_predict(model: MoEModel, x: np.ndarray, cfg: AnytimeConfig) -> Predi
     return PredictOutcome(
         probs=out.probs[0],
         exited=bool(out.exited[0]),
-        executed_experts=tuple(int(j) for j in np.flatnonzero(out.executed[0])),
+        executed_experts=tuple(out.executed[0].nonzero()[0].tolist()),
         macs=int(out.macs[0]),
     )
 

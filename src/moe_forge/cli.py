@@ -138,7 +138,7 @@ def _load_data_block(doc: dict, path: str, base_dir: Path) -> list[LabeledDatase
 
 
 def _plan_from_config(config: dict) -> TrainPlan:
-    _reject_unknown(config, {"seed", "output_dir", "workers", "data", "model", "train", "anytime"}, "")
+    _reject_unknown(config, {"seed", "output_dir", "workers", "data", "model", "train"}, "")
     for required in ("data", "model", "output_dir"):
         if required not in config:
             raise ConfigError(f"missing required key {required!r}")
@@ -240,7 +240,7 @@ def _top1_metrics(model: MoEModel, ds: LabeledDataset) -> tuple[float, float]:
     slots = top1_slots(model, ev.gate_probs)
     probs = ev.combined[slots.argmax(axis=1), np.arange(len(ds))]
     accuracy = float((probs.argmax(axis=1) == ds.labels).mean())
-    per_row = model.cost.macs_base + model.cost.macs_gate + slot_macs(model, ev.top_pair, slots)
+    per_row = model.cost.macs_base + model.cost.macs_gate + slot_macs(model, ev.gate_probs, slots)
     return accuracy, float(per_row.sum()) / len(ds)
 
 

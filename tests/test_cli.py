@@ -12,6 +12,9 @@ from moe_forge.cli import WORKERS_ENV, _plan_from_config, main
 from moe_forge.data import generate_synthetic, save_csv
 from moe_forge.errors import ConfigError
 from moe_forge.jsonio import load_json
+from moe_forge.model import save_model
+
+from conftest import random_model
 
 
 def make_config(tmp_path: Path, **overrides) -> Path:
@@ -101,6 +104,17 @@ class TestTrain:
         assert all(s["loaded"] for s in manifest["stages"])
         assert (tmp_path / "run" / "model.json").read_bytes() == first
         assert "loaded" in capsys.readouterr().out
+
+    def test_malformed_stage_file_is_a_usage_error(self, tmp_path, capsys):
+        config = make_config(tmp_path)
+        main(["train", str(config)])
+        stage = tmp_path / "run" / "stages" / "gate.json"
+        doc = json.loads(stage.read_text())
+        del doc["payload"]["weight"]
+        stage.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["train", str(config)]) == 2
+        assert capsys.readouterr().err == f"error: stage checkpoint {stage}: missing key 'weight'\n"
 
     def test_single_expert_run_is_tagged_as_the_ensembling_baseline(self, tmp_path):
         config = make_config(
@@ -292,6 +306,12 @@ class TestConfigErrors:
         assert main(["train", str(config)]) == 2
         assert "model" in capsys.readouterr().err
 
+    def test_top_level_anytime_block_is_rejected(self, tmp_path, capsys):
+        config = make_config(tmp_path, anytime={"tau": 0.1, "policy": "alpha_threshold"})
+        assert main(["train", str(config)]) == 2
+        assert "unknown key anytime" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_unknown_ensembler_kind(self, tmp_path, capsys):
         config = make_config(
             tmp_path, model={"layer_dims": [4, 6, 3], "num_experts": 2, "ensembler": "boosting"}
@@ -326,3 +346,59 @@ class TestWorkerConfig:
     def test_default_is_serial(self, tmp_path, monkeypatch):
         monkeypatch.delenv(WORKERS_ENV, raising=False)
         assert _plan_from_config(self.config_doc(tmp_path)).workers == 1
+
+
+class TestMalformedCheckpoints:
+    """eval on a broken model.json exits 2 with an error naming the file and the key."""
+
+    def eval_doc(self, tmp_path, capsys, doc) -> str:
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", str(path), str(eval_data_file(tmp_path))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert str(path) in err
+        return err
+
+    @pytest.fixture
+    def doc(self, rng, tmp_path) -> dict:
+        save_model(tmp_path / "model.json", random_model(rng, ensembler="stacking"))
+        return load_json(tmp_path / "model.json")
+
+    def test_truncated_file(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"format_version": 1, "kind": "moe_model", "base": {')
+        assert main(["eval", str(path), str(eval_data_file(tmp_path))]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: invalid JSON at line 1")
+
+    def test_missing_key(self, tmp_path, capsys):
+        err = self.eval_doc(tmp_path, capsys, {"format_version": 1, "kind": "moe_model"})
+        assert "missing key 'base'" in err
+
+    def test_missing_nested_key(self, doc, tmp_path, capsys):
+        del doc["experts"][1]["biases"]
+        assert "missing key 'experts[1].biases'" in self.eval_doc(tmp_path, capsys, doc)
+
+    def test_wrong_type(self, doc, tmp_path, capsys):
+        doc["gate"]["rows"] = "3"
+        err = self.eval_doc(tmp_path, capsys, doc)
+        assert "key 'gate.rows': expected an integer, got a string" in err
+
+    def test_wrong_type_inside_a_weight_list(self, doc, tmp_path, capsys):
+        doc["ensemblers"][0]["bias"][2] = None
+        err = self.eval_doc(tmp_path, capsys, doc)
+        assert "key 'ensemblers[0].bias': expected a list of numbers" in err
+
+    def test_weight_list_of_the_wrong_length(self, doc, tmp_path, capsys):
+        doc["base"]["weights"][1] = doc["base"]["weights"][1][:-1]
+        err = self.eval_doc(tmp_path, capsys, doc)
+        assert "key 'base.weights[1]': expected 36 values for shape [6, 6], got 35" in err
+
+    def test_gate_weight_that_does_not_match_rows_times_cols(self, doc, tmp_path, capsys):
+        doc["gate"]["cols"] = 5
+        err = self.eval_doc(tmp_path, capsys, doc)
+        assert "key 'gate.weight': expected 15 values for shape [3, 5], got 18" in err
+
+    def test_parts_that_do_not_fit_together(self, doc, tmp_path, capsys):
+        doc["experts"] = doc["experts"][:2]
+        assert "one ensembler per expert" in self.eval_doc(tmp_path, capsys, doc)

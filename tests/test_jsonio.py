@@ -1,5 +1,6 @@
 """The JSON encoder: the bulk float-array path against the generic list path, and atomic saves."""
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from moe_forge import jsonio
 from moe_forge.jsonio import _encode, dumps, load_json, save_json
-from moe_forge.model import model_to_doc
+from moe_forge.model import load_model, model_to_doc, save_model
 
 from conftest import random_model
 
@@ -46,7 +47,9 @@ class TestFloatArrays:
     def test_extreme_values_equal_the_generic_path(self, indent):
         arr = np.array(SPECIAL)
         assert dumps(arr, indent=indent) == generic(arr, indent=indent)
-        assert dumps(arr) == "[" + ", ".join(f"{x:.17g}" for x in SPECIAL) + "]"
+        # 17 digits each, except -0.0, which keeps its ".0" so that json reads a float
+        expected = ("-0.0" if str(x) == "-0.0" else f"{x:.17g}" for x in SPECIAL)
+        assert dumps(arr) == "[" + ", ".join(expected) + "]"
         wide = np.array([SPECIAL, SPECIAL[::-1]])
         assert dumps({"w": wide}, indent=indent) == generic({"w": wide}, indent=indent)
 
@@ -69,6 +72,35 @@ class TestFloatArrays:
     def test_model_doc_equals_the_generic_encoding(self, rng, ensembler):
         doc = model_to_doc(random_model(rng, ensembler=ensembler))
         assert dumps(doc) == generic(doc)
+
+
+class TestNegativeZero:
+    """-0.0 keeps its sign through dumps and json.loads, on the scalar and the bulk path."""
+
+    @pytest.mark.parametrize(
+        "value",
+        [-0.0, np.float64(-0.0), np.array([1.5, -0.0, 0.0, -2.0]), np.array([[-0.0, 2.0], [0.0, -0.0]])],
+        ids=["float", "np.float64", "1-d", "2-d"],
+    )
+    def test_sign_survives_a_round_trip(self, value):
+        back = np.asarray(json.loads(dumps(value)), dtype=np.float64)
+        np.testing.assert_array_equal(back, value)
+        np.testing.assert_array_equal(np.signbit(back), np.signbit(value))
+
+    def test_arrays_without_negative_zero_keep_their_text(self):
+        arr = np.array([0.0, -1.5, 2.0, 0.0, -1e-300])
+        assert dumps(arr) == "[0, -1.5, 2, 0, -1e-300]"
+        assert dumps(-1e-300) == "-1e-300"
+
+    def test_model_checkpoint_keeps_the_sign(self, rng, tmp_path):
+        model = random_model(rng)
+        model.base.layers[0].bias[1] = -0.0
+        model.gate.weight[2, 3] = -0.0
+        save_model(tmp_path / "model.json", model)
+        loaded = load_model(tmp_path / "model.json")
+        assert np.signbit(loaded.base.layers[0].bias[1])
+        assert np.signbit(loaded.gate.weight[2, 3])
+        assert not np.signbit(loaded.gate.weight[2, 2])
 
 
 class TestSaveJson:

@@ -18,10 +18,11 @@ from moe_forge.model import (
     model_to_doc,
     network_macs,
     save_model,
+    slot_macs,
 )
-from moe_forge.nn import init_network
+from moe_forge.nn import init_network, softmax
 
-from conftest import random_model
+from conftest import random_model, random_network
 
 
 class TestGate:
@@ -129,6 +130,36 @@ class TestMacAccounting:
         model = mac_fixture_model()
         with pytest.raises(ShapeError):
             mac_count(model, ExecutionTrace(expert_tails=(5,)))
+
+    @pytest.mark.parametrize(
+        "kinds",
+        [("none",) * 4, ("bagging",) * 4, ("stacking",) * 4, ("top2",) * 4,
+         ("top2", "stacking", "none", "top2")],
+        ids=["none", "bagging", "stacking", "top2", "mixed"],
+    )
+    def test_slot_macs_equal_the_scalar_count_of_each_row(self, rng, kinds):
+        # Tails of different widths, so a wrong tail index changes the count.
+        experts = [random_network(rng, [6, width, 3]) for width in (2, 5, 7, 9)]
+        ensemblers = [
+            Ensembler(kind, rng.normal(size=(3, 6)), rng.normal(size=3))
+            if kind == "stacking"
+            else Ensembler(kind)
+            for kind in kinds
+        ]
+        scaffold = random_model(rng, num_experts=4)
+        model = MoEModel(scaffold.base, scaffold.gate, experts, ensemblers, shared_prefix=1)
+        x = rng.normal(size=(40, 4))
+        ev = evaluate_dataset(model, x)
+        slots = rng.random((40, 4)) < 0.35
+        got = slot_macs(model, ev.gate_probs, slots)
+        assert got.shape == (40,)
+        for i in range(40):
+            chosen = tuple(int(j) for j in np.flatnonzero(slots[i]))
+            tails = {j for j in chosen if kinds[j] != "top2"}
+            if any(kinds[j] == "top2" for j in chosen):
+                tails |= set(np.argsort(-ev.gate_probs[i], kind="stable")[:2].tolist())
+            trace = ExecutionTrace(base=False, gate=False, expert_tails=tuple(sorted(tails)), ensemblers=chosen)
+            assert got[i] == mac_count(model, trace)
 
 
 class TestModelOutputs:

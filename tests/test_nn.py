@@ -86,6 +86,24 @@ class TestForward:
         with pytest.raises(ShapeError):
             forward(hand_built_net(), np.zeros(3))
 
+    @pytest.mark.parametrize(
+        "logits",
+        [
+            np.random.default_rng(1).normal(size=(1, 32)),
+            np.random.default_rng(2).normal(scale=5.0, size=(200, 7)),
+            np.random.default_rng(3).normal(size=9),
+            np.array([[1000.0, 999.0, -1000.0], [-1000.0, -1001.0, 3e5], [7e307, -7e307, 0.0]]),
+        ],
+        ids=["one-row", "many-rows", "1-d", "large"],
+    )
+    def test_softmax_equals_the_max_sum_formula_bit_for_bit(self, logits):
+        # Training and every checkpoint run through softmax, so it must not move a bit.
+        exp = np.exp(logits - logits.max(axis=-1, keepdims=True))
+        want = exp / exp.sum(axis=-1, keepdims=True)
+        got = softmax(logits)
+        assert got.shape == logits.shape
+        assert np.array_equal(got, want)
+
 
 class TestNetworkValidation:
     def test_mismatched_layer_dims_rejected(self):

@@ -514,6 +514,33 @@ class TestPipelineCheckpoints:
         assert again.centroids.inertia_history == ()
         np.testing.assert_array_equal(again.centroids.means, first.centroids.means)
 
+    @pytest.mark.parametrize(
+        "stage, corrupt, message",
+        [
+            ("base", lambda p: p["network"].pop("weights"), "missing key 'network.weights'"),
+            ("gate", lambda p: p.update(bias="0.5"), "key 'bias': expected a list, got a string"),
+            (
+                "experts",
+                lambda p: p["experts"][1]["weights"][0].pop(),
+                "key 'experts[1].weights[0]': expected 18 values for shape [3, 6], got 17",
+            ),
+            ("gate_init", lambda p: p.update(temperature=None), "key 'temperature': expected a number"),
+            ("ensemblers", lambda p: p["ensemblers"].pop(), "key 'ensemblers': expected 2 entries"),
+        ],
+        ids=["base", "gate", "experts", "gate_init", "ensemblers"],
+    )
+    def test_malformed_stage_file_names_the_file_and_the_key(self, tmp_path, stage, corrupt, message):
+        ds = blob_dataset(seed=59, samples_per_mode=15)
+        run_pipeline(ds, small_plan(), tmp_path)
+        path = tmp_path / "stages" / f"{stage}.json"
+        doc = json.loads(path.read_text())
+        corrupt(doc["payload"])
+        path.write_text(json.dumps(doc))
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(ds, small_plan(), tmp_path)
+        assert str(info.value).startswith(f"stage checkpoint {path}: ")
+        assert message in str(info.value)
+
     def test_checkpoints_from_a_different_plan_refuse_to_load(self, tmp_path):
         ds = blob_dataset(seed=53, samples_per_mode=15)
         run_pipeline(ds, small_plan(), tmp_path)
