@@ -28,8 +28,8 @@ from .data import LabeledDataset, SyntheticSpec, generate_synthetic, load_csv, s
 from .errors import ConfigError, DataError, MoeForgeError, PipelineError
 from .gate_init import initial_gate, per_class_assignment
 from .model import MoEModel, evaluate_dataset, load_model, save_model, slot_macs, top1_slots
-from .nn import SgdConfig, forward_batch
-from .training import TrainPlan, plan_to_doc, run_pipeline
+from .nn import ForwardPass, SgdConfig, forward_batch
+from .training import PipelineResult, TrainPlan, plan_to_doc, run_pipeline
 
 WORKERS_ENV = "MOE_FORGE_WORKERS"
 
@@ -234,14 +234,26 @@ def _hash_file(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _top1_metrics(model: MoEModel, ds: LabeledDataset) -> tuple[float, float]:
-    """Top-1 routed accuracy and the mean per-sample MAC count."""
-    ev = evaluate_dataset(model, ds.features)
+def _top1_metrics(
+    model: MoEModel, ds: LabeledDataset, base: ForwardPass | None = None
+) -> tuple[float, float]:
+    """Top-1 routed accuracy and the mean per-sample MAC count.
+
+    Each expert runs only on the rows routed to it.  ``base`` is the base's
+    forward pass over ``ds`` when the caller already holds it.
+    """
+    select = lambda base_probs, gate_probs: top1_slots(model, gate_probs)
+    ev = evaluate_dataset(model, ds.features, select, base)
     slots = top1_slots(model, ev.gate_probs)
     probs = ev.combined[slots.argmax(axis=1), np.arange(len(ds))]
     accuracy = float((probs.argmax(axis=1) == ds.labels).mean())
     per_row = model.cost.macs_base + model.cost.macs_gate + slot_macs(model, ev.gate_probs, slots)
     return accuracy, float(per_row.sum()) / len(ds)
+
+
+def _save_trained_model(path: Path, result: PipelineResult) -> None:
+    """model.json of a training, reusing the expert text its experts stage encoded."""
+    save_model(path, result.model, result.expert_text)
 
 
 def cmd_train(config_path: str) -> int:
@@ -253,9 +265,9 @@ def cmd_train(config_path: str) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     result = run_pipeline(train_ds, plan, out_dir)
-    save_model(out_dir / "model.json", result.model)
+    _save_trained_model(out_dir / "model.json", result)
 
-    accuracy, mean_macs = _top1_metrics(result.model, train_ds)
+    accuracy, mean_macs = _top1_metrics(result.model, train_ds, result.base_pass)
     artifacts = {}
     for file in sorted(out_dir.rglob("*")):
         if file.is_file() and file.name != "manifest.json":
@@ -321,9 +333,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"data has dim {ds.dim} / {ds.num_classes} classes, model expects "
             f"{model.base.input_dim} / {model.num_classes}"
         )
-    base_probs = forward_batch(model.base, ds.features).probs
-    base_acc = float((base_probs.argmax(axis=1) == ds.labels).mean())
-    accuracy, mean_macs = _top1_metrics(model, ds)
+    fp = forward_batch(model.base, ds.features)  # shared by every figure below that needs it
+    base_acc = float((fp.probs.argmax(axis=1) == ds.labels).mean())
+    accuracy, mean_macs = _top1_metrics(model, ds, fp)
     print(f"samples: {len(ds)}")
     print(f"base accuracy: {base_acc:.4f}")
     print(f"top-1 routed accuracy: {accuracy:.4f}")
@@ -353,7 +365,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         (out_dir / "reliability.csv").write_text(reliability.to_csv())
         wrote = ["specialization.csv", "specialization_per_class.csv", "reliability.csv"]
         if model.centroids is not None:
-            fp = forward_batch(model.base, ds.features)
             init = initial_gate(fp.prelogits, model.centroids, model.temperature)
             trained = model.gate.distribution_batch(fp.prelogits)[:, : model.num_experts]
             report = gate_disagreement(
@@ -432,7 +443,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         run_dir = out_root / raw.replace("/", "_")
         run_dir.mkdir(parents=True, exist_ok=True)
         result = run_pipeline(train_ds, plan, run_dir)
-        save_model(run_dir / "model.json", result.model)
+        _save_trained_model(run_dir / "model.json", result)
         accuracy, mean_macs = _top1_metrics(result.model, eval_ds)
         lines.append(f"{raw},{plan.seed},{accuracy!r},{mean_macs!r},{label}")
         print(f"{args.axis}={raw}: accuracy={accuracy:.4f} mean_macs={mean_macs:.1f}")

@@ -45,15 +45,25 @@ class InitialGate:
         return self.weights.shape[1]
 
 
+# Rows per block of _sq_distances: a [256, dim] difference stays in cache for dim up to ~1000.
+_BLOCK_ROWS = 256
+
+
 def _sq_distances(points: np.ndarray, means: np.ndarray) -> np.ndarray:
     """Pairwise squared euclidean distances, [N, K].
 
-    One cluster at a time, so the largest temporary is [N, dim], not [N, K, dim].
+    A block of rows at a time, and one cluster at a time inside it, so the
+    largest temporary is a cache-sized [block, dim], not [N, dim] or [N, K, dim].
+    Every row's sum is the same einsum as over all rows at once, so the result
+    does not depend on the block size.
     """
     out = np.empty((points.shape[0], means.shape[0]))
-    for j, mean in enumerate(means):
-        diff = points - mean
-        out[:, j] = np.einsum("nd,nd->n", diff, diff)
+    for start in range(0, points.shape[0], _BLOCK_ROWS):
+        block = points[start : start + _BLOCK_ROWS]
+        rows = out[start : start + _BLOCK_ROWS]
+        for j, mean in enumerate(means):
+            diff = block - mean
+            rows[:, j] = np.einsum("nd,nd->n", diff, diff)
     return out
 
 

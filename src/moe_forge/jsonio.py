@@ -6,6 +6,8 @@ instead of whatever repr() happens to choose.  Float arrays are formatted
 in bulk, one row per ``%`` call, with the same 17-digit text a float gets
 on its own.  Files are written to a temporary name and then renamed over
 the target, so an interrupted write leaves the previous file whole.
+A ``Fragment`` holds text that ``dumps`` already produced; it is written
+out verbatim, so a value stored in two compact documents is encoded once.
 Checked readers pull typed values and float arrays out of a loaded
 document and raise ``PipelineError`` naming the key when one is missing,
 of the wrong type or of the wrong length.
@@ -16,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -30,6 +33,18 @@ def format_float(x: float) -> str:
     if x == 0.0 and math.copysign(1.0, x) < 0:
         return "-0.0"  # json reads a bare "-0" as the int 0, which loses the sign
     return f"{x:.17g}"
+
+
+@dataclass(frozen=True)
+class Fragment:
+    """Compact JSON text, written out verbatim by ``dumps`` without indent."""
+
+    text: str
+
+
+def encode(obj: Any) -> Fragment:
+    """``dumps(obj)`` as a fragment another compact document can hold."""
+    return Fragment(dumps(obj))
 
 
 def _encode(obj: Any, out: list[str], indent: int | None, depth: int) -> None:
@@ -71,6 +86,10 @@ def _encode(obj: Any, out: list[str], indent: int | None, depth: int) -> None:
             out.append(pad)
             _encode(item, out, indent, depth + 1)
         out.append(end_pad + "]")
+    elif isinstance(obj, Fragment):
+        if indent is not None:  # its text is compact; indenting would need a re-parse
+            raise ValueError("a pre-encoded fragment cannot be written with indent")
+        out.append(obj.text)
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")

@@ -316,17 +316,23 @@ def _row_sets(mask: np.ndarray):
         yield j, slice(None) if counts[j] == len(mask) else mask[:, j].nonzero()[0]
 
 
-def evaluate_dataset(model: MoEModel, x: np.ndarray, select: Callable | None = None) -> ModelEval:
+def evaluate_dataset(
+    model: MoEModel,
+    x: np.ndarray,
+    select: Callable | None = None,
+    base: ForwardPass | None = None,
+) -> ModelEval:
     """Run the model over a feature matrix.
 
     The shared prefix, base tail and gate always run on every row.  Without
     ``select`` every expert tail and ensembler runs on every row too.  Given
     ``select(base probs, gate probs) -> [N, K] bool`` ensembler slots, only
     the slots it selects and the expert tails they need run on each row; the
-    outputs of the rest stay zero.
+    outputs of the rest stay zero.  ``base`` is the base's forward pass over
+    ``x`` when the caller already holds it; it is then not run again.
     """
     x = np.asarray(x, dtype=np.float64)
-    fp = forward_batch(model.base, x)
+    fp = base if base is not None else forward_batch(model.base, x)
     gate_probs = model.gate.distribution_batch(fp.prelogits)
     k = model.num_experts
     n, c = fp.probs.shape
@@ -400,14 +406,21 @@ def _ensembler_from_doc(doc: dict, where: str) -> Ensembler:
     )
 
 
-def model_to_doc(model: MoEModel) -> dict:
+def model_to_doc(model: MoEModel, experts: list[jsonio.Fragment] | None = None) -> dict:
+    """JSON-ready dict of the model.
+
+    ``experts`` are the tails already encoded by ``jsonio.encode(network_to_doc(...))``,
+    one per expert, when the caller holds that text; otherwise they are encoded here.
+    """
+    if experts is not None and len(experts) != model.num_experts:
+        raise ShapeError(f"need {model.num_experts} encoded experts, got {len(experts)}")
     doc = {
         "format_version": 1,
         "kind": "moe_model",
         "shared_prefix": model.shared_prefix,
         "base": network_to_doc(model.base),
         "gate": _gate_to_doc(model.gate),
-        "experts": [network_to_doc(e) for e in model.experts],
+        "experts": experts if experts is not None else [network_to_doc(e) for e in model.experts],
         "ensemblers": [_ensembler_to_doc(e) for e in model.ensemblers],
         "centroids": None,
         "temperature": model.temperature,
@@ -451,8 +464,9 @@ def model_from_doc(doc: dict) -> MoEModel:
         raise PipelineError(f"model checkpoint: {exc}") from exc
 
 
-def save_model(path: str | Path, model: MoEModel) -> None:
-    jsonio.save_json(path, model_to_doc(model))
+def save_model(path: str | Path, model: MoEModel, experts: list[jsonio.Fragment] | None = None) -> None:
+    """Write model.json; ``experts`` as in ``model_to_doc``."""
+    jsonio.save_json(path, model_to_doc(model, experts))
 
 
 def load_model(path: str | Path) -> MoEModel:

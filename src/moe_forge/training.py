@@ -42,6 +42,7 @@ from .model import (
 )
 from .nn import (
     PROB_FLOOR,
+    ForwardPass,
     Network,
     SgdConfig,
     SgdStepper,
@@ -403,6 +404,10 @@ class PipelineResult:
     class_map: np.ndarray | None
     stages: list[StageRecord]
     zero_mass_rows: int
+    base_pass: ForwardPass  # the base over the training rows
+    # Each expert as the experts stage encoded it into its checkpoint; None when that
+    # stage was loaded.  model.json reuses the text instead of encoding the tails again.
+    expert_text: list[jsonio.Fragment] | None = None
 
 
 def plan_to_doc(plan: TrainPlan) -> dict:
@@ -583,12 +588,11 @@ def run_pipeline(
     stages: list[StageRecord] = []
 
     def run_stage(name: str, compute: Callable[[], dict], restore: Callable[[dict], None]) -> None:
+        """Fill ``state`` from the stage's checkpoint, or by ``compute``, which returns the payload to save."""
         begin = time.perf_counter()
         loaded = store.load(name, restore)
         if not loaded:
-            payload = compute()
-            store.save(name, payload)
-            restore(payload)
+            store.save(name, compute())
         stages.append(StageRecord(name, time.perf_counter() - begin, loaded))
 
     state: dict = {}
@@ -596,7 +600,8 @@ def run_pipeline(
     # Step 1: base model on all data.
     def compute_base() -> dict:
         cfg = replace(plan.sgd_base, seed=derive_seed(plan.seed, "base"))
-        return {"network": network_to_doc(train_base(ds, plan.layer_dims, plan.tap_index, cfg))}
+        state["base"] = train_base(ds, plan.layer_dims, plan.tap_index, cfg)
+        return {"network": network_to_doc(state["base"])}
 
     def restore_base(p: dict) -> None:
         state["base"] = network_from_doc(jsonio.get_value(p, "network", dict), "network")
@@ -609,17 +614,15 @@ def run_pipeline(
     def compute_init() -> dict:
         centroids = kmeans(fp.prelogits, plan.num_experts, seed=derive_seed(plan.seed, "kmeans"))
         init = initial_gate(fp.prelogits, centroids, plan.temperature)
-        payload = {
+        class_map = per_class_assignment(init, ds.labels)[0] if plan.routing == "per_class" else None
+        state.update(centroids=centroids, init=init, class_map=class_map)
+        return {
             "centroid_means": centroids.means,
             "inertia_history": centroids.inertia_history,
             "temperature": init.temperature,
             "weights": init.weights,
-            "class_map": None,
+            "class_map": class_map,
         }
-        if plan.routing == "per_class":
-            class_map, _ = per_class_assignment(init, ds.labels)
-            payload["class_map"] = class_map
-        return payload
 
     def restore_init(p: dict) -> None:
         k, dim = plan.num_experts, base.prelogit_dim
@@ -649,7 +652,7 @@ def run_pipeline(
     # Step 3: fit the gate to the initial assignment.
     def compute_gate() -> dict:
         cfg = replace(plan.sgd_gate, seed=derive_seed(plan.seed, "gate"))
-        gate = train_gate(targets, base, ds, cfg, prelogits=fp.prelogits)
+        gate = state["gate"] = train_gate(targets, base, ds, cfg, prelogits=fp.prelogits)
         return {"weight": gate.weight.reshape(-1), "bias": gate.bias}
 
     def restore_gate(p: dict) -> None:
@@ -682,8 +685,13 @@ def run_pipeline(
             experts = _train_expert_set(
                 base, experts, weights, ds, plan, lengths[step], step, fp.tap
             )
+        # Encoded once here; the checkpoint and model.json both write this text.
+        text = [jsonio.encode(network_to_doc(e)) for e in experts]
+        state.update(
+            experts=experts, gate=gate, final_weights=weights, zero_mass_rows=zero_rows, expert_text=text
+        )
         return {
-            "experts": [network_to_doc(e) for e in experts],
+            "experts": text,
             "gate_weight": gate.weight.reshape(-1),
             "gate_bias": gate.bias,
             "final_weights": weights,
@@ -704,7 +712,7 @@ def run_pipeline(
 
     # Step 5: ensemblers, once every expert is fully trained.
     def compute_ensemblers() -> dict:
-        ensemblers = _train_ensembler_set(
+        ensemblers = state["ensemblers"] = _train_ensembler_set(
             base, state["experts"], state["final_weights"], ds, plan, fp.tap, fp.probs
         )
         docs = []
@@ -751,7 +759,9 @@ def run_pipeline(
         centroids=centroids,
         class_map=class_map,
         stages=stages,
-        zero_mass_rows=state.get("zero_mass_rows", 0),
+        zero_mass_rows=state["zero_mass_rows"],
+        base_pass=fp,
+        expert_text=state.get("expert_text"),
     )
     if out_path is not None:
         _write_diagnostics(out_path, result, targets, ds)
@@ -784,8 +794,8 @@ def _write_diagnostics(
         lines.append(f"{k},{int((argmax == k).sum())},{repr(float(targets[:, k].sum()))}")
     (diag / "expert_mass.csv").write_text("\n".join(lines) + "\n")
 
-    fp = forward_batch(model.base, ds.features)
-    trained = model.gate.distribution_batch(fp.prelogits)[:, : model.num_experts].argmax(axis=1)
+    prelogits = result.base_pass.prelogits
+    trained = model.gate.distribution_batch(prelogits)[:, : model.num_experts].argmax(axis=1)
     changed = int((argmax != trained).sum())
     (diag / "gate_disagreement.csv").write_text(
         "fraction,changed,total\n"

@@ -8,7 +8,7 @@ import pytest
 from moe_forge.data import LabeledDataset, SyntheticSpec, generate_synthetic
 from moe_forge.gate_init import Centroids
 from moe_forge.model import Ensembler, Gate, MoEModel
-from moe_forge.nn import Layer, Network, init_network
+from moe_forge.nn import Layer, Network, forward_batch, init_network
 
 
 def random_network(rng: np.random.Generator, dims: list[int], tap_index: int = 0) -> Network:
@@ -49,6 +49,21 @@ def random_model(
     else:
         ens = [Ensembler(kind=ensembler) for _ in range(num_experts)]
     return MoEModel(base=base, gate=gate, experts=experts, ensemblers=ens, shared_prefix=1)
+
+
+def with_exit_head(model: MoEModel, rng: np.random.Generator, x: np.ndarray) -> MoEModel:
+    """The same model with a random exit row added to its gate; it wins on about half of x."""
+    prelogits = forward_batch(model.base, x).prelogits
+    exit_weight = rng.normal(size=model.gate.in_dim)
+    best_expert = (prelogits @ model.gate.weight.T + model.gate.bias).max(axis=1)
+    gate = Gate(
+        weight=np.vstack([model.gate.weight, exit_weight]),
+        bias=np.append(model.gate.bias, np.median(best_expert - prelogits @ exit_weight)),
+    )
+    return MoEModel(
+        base=model.base, gate=gate, experts=model.experts,
+        ensemblers=model.ensemblers, shared_prefix=model.shared_prefix,
+    )
 
 
 def blob_dataset(

@@ -27,7 +27,7 @@ from moe_forge.errors import ShapeError
 from moe_forge.model import Ensembler, Gate, MoEModel, evaluate_dataset
 from moe_forge.nn import Layer, Network, SgdConfig, forward_batch
 
-from conftest import blob_dataset, random_model
+from conftest import blob_dataset, random_model, with_exit_head
 
 
 def fixed_output_model(
@@ -458,21 +458,6 @@ class TestExitGateTraining:
 
 ENSEMBLER_KINDS = ("none", "bagging", "stacking", "top2")
 POLICY_TAUS = (0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
-
-
-def with_exit_head(model: MoEModel, rng: np.random.Generator, x: np.ndarray) -> MoEModel:
-    """The same model with a random exit row added to its gate; it wins on about half of x."""
-    prelogits = forward_batch(model.base, x).prelogits
-    exit_weight = rng.normal(size=model.gate.in_dim)
-    best_expert = (prelogits @ model.gate.weight.T + model.gate.bias).max(axis=1)
-    gate = Gate(
-        weight=np.vstack([model.gate.weight, exit_weight]),
-        bias=np.append(model.gate.bias, np.median(best_expert - prelogits @ exit_weight)),
-    )
-    return MoEModel(
-        base=model.base, gate=gate, experts=model.experts,
-        ensemblers=model.ensemblers, shared_prefix=model.shared_prefix,
-    )
 
 
 def count_expert_forwards(monkeypatch, model: MoEModel) -> list:

@@ -7,14 +7,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import moe_forge.cli as cli
+from moe_forge.analysis import gate_disagreement
 from moe_forge.anytime import CURVE_HEADER
-from moe_forge.cli import WORKERS_ENV, _plan_from_config, main
-from moe_forge.data import generate_synthetic, save_csv
+from moe_forge.cli import WORKERS_ENV, _plan_from_config, _save_trained_model, _top1_metrics, main
+from moe_forge.data import LabeledDataset, generate_synthetic, save_csv
 from moe_forge.errors import ConfigError
+from moe_forge.gate_init import initial_gate
 from moe_forge.jsonio import load_json
-from moe_forge.model import save_model
+from moe_forge.model import evaluate_dataset, load_model, save_model, slot_macs, top1_slots
+from moe_forge.nn import forward_batch
+from moe_forge.training import TrainPlan, run_pipeline
 
-from conftest import random_model
+from conftest import blob_dataset, random_model, with_exit_head
 
 
 def make_config(tmp_path: Path, **overrides) -> Path:
@@ -232,6 +237,111 @@ class TestEval:
         data = eval_data_file(tmp_path)
         assert main(["eval", str(trained), str(data), "--taus", "0,1.5"]) == 1
         assert "tau" in capsys.readouterr().err
+
+    def test_one_base_pass_gives_the_figures_of_separate_passes(self, trained, tmp_path, capsys, monkeypatch):
+        data = eval_data_file(tmp_path)
+        out_dir = tmp_path / "analysis"
+        base_passes, given = [], []
+        real_forward, real_evaluate = cli.forward_batch, cli.evaluate_dataset
+
+        def counting_forward(net, x):
+            base_passes.append(len(x))
+            return real_forward(net, x)
+
+        def checking_evaluate(model, x, select=None, base=None):
+            given.append(base is not None)
+            return real_evaluate(model, x, select, base)
+
+        monkeypatch.setattr(cli, "forward_batch", counting_forward)
+        monkeypatch.setattr(cli, "evaluate_dataset", checking_evaluate)
+        args = ["eval", str(trained), str(data), "--taus", "0,0.1,1", "--analyze", "--out", str(out_dir)]
+        assert main(args) == 0
+        stdout = capsys.readouterr().out
+        assert base_passes == [30] and given == [True]
+
+        # The same figures, each from its own base pass as separate commands would compute them.
+        monkeypatch.undo()
+        model = load_model(trained)
+        ds = cli._load_eval_data(str(data))
+        base_acc = float((forward_batch(model.base, ds.features).probs.argmax(axis=1) == ds.labels).mean())
+        ev = evaluate_dataset(model, ds.features)
+        slots = top1_slots(model, ev.gate_probs)
+        routed = ev.combined[slots.argmax(axis=1), np.arange(len(ds))]
+        accuracy = float((routed.argmax(axis=1) == ds.labels).mean())
+        macs = model.cost.macs_base + model.cost.macs_gate + slot_macs(model, ev.gate_probs, slots)
+        lines = stdout.splitlines()
+        assert lines[:4] == [
+            "samples: 30",
+            f"base accuracy: {base_acc:.4f}",
+            f"top-1 routed accuracy: {accuracy:.4f}",
+            f"mean MACs (top-1 routing): {float(macs.sum()) / len(ds):.1f}",
+        ]
+        prelogits = forward_batch(model.base, ds.features).prelogits
+        report = gate_disagreement(
+            initial_gate(prelogits, model.centroids, model.temperature).weights.argmax(axis=1),
+            model.gate.distribution_batch(prelogits)[:, : model.num_experts].argmax(axis=1),
+            ds.labels,
+            num_experts=model.num_experts,
+        )
+        assert (out_dir / "disagreement_transitions.csv").read_text() == report.transitions_csv()
+        assert (out_dir / "disagreement.csv").read_text() == f"fraction\n{report.fraction!r}\n"
+        assert f"gate disagreement vs clustering: {report.fraction:.4f}" in lines
+
+
+class TestTop1Metrics:
+    @pytest.mark.parametrize("kind", ["none", "bagging", "stacking", "top2"])
+    @pytest.mark.parametrize("exit_head", [False, True])
+    def test_routed_pass_equals_the_dense_pass(self, rng, kind, exit_head):
+        x = rng.normal(size=(60, 4))
+        model = random_model(rng, num_experts=4, ensembler=kind)
+        if exit_head:
+            model = with_exit_head(model, rng, x)
+        ds = LabeledDataset(x, rng.integers(3, size=60), 3)
+        dense = evaluate_dataset(model, x)
+        slots = top1_slots(model, dense.gate_probs)
+        chosen = slots.argmax(axis=1)
+        want_probs = dense.combined[chosen, np.arange(60)]
+        want_macs = model.cost.macs_base + model.cost.macs_gate + slot_macs(model, dense.gate_probs, slots)
+        want = (float((want_probs.argmax(axis=1) == ds.labels).mean()), float(want_macs.sum()) / 60)
+        assert _top1_metrics(model, ds) == want
+        assert _top1_metrics(model, ds, forward_batch(model.base, x)) == want
+        # Bit-equal, except where a tail runs on a single row: numpy computes a one-row
+        # product as a matrix-vector product, which rounds differently.
+        routed = evaluate_dataset(model, x, lambda base_probs, gate_probs: top1_slots(model, gate_probs))
+        np.testing.assert_allclose(routed.combined[chosen, np.arange(60)], want_probs, rtol=1e-14, atol=0)
+
+
+class TestModelJson:
+    def plan(self, **overrides) -> TrainPlan:
+        return TrainPlan(
+            layer_dims=(4, 6, 5, 3), num_experts=3, seed=4, expert_epochs=2, em_steps=1,
+            **overrides,
+        )
+
+    @pytest.mark.parametrize("ensembler", ["bagging", "stacking"])
+    def test_fresh_resumed_and_plain_saves_write_the_same_bytes(self, tmp_path, ensembler):
+        ds = blob_dataset(seed=61, samples_per_mode=20)
+        plan = self.plan(ensembler=ensembler)
+        fresh = run_pipeline(ds, plan, tmp_path / "run")
+        resumed = run_pipeline(ds, plan, tmp_path / "run")
+        assert fresh.expert_text is not None
+        assert all(s.loaded for s in resumed.stages) and resumed.expert_text is None
+        _save_trained_model(tmp_path / "fresh.json", fresh)
+        _save_trained_model(tmp_path / "resumed.json", resumed)
+        save_model(tmp_path / "plain.json", fresh.model)
+        text = (tmp_path / "plain.json").read_bytes()
+        assert (tmp_path / "fresh.json").read_bytes() == text
+        assert (tmp_path / "resumed.json").read_bytes() == text
+        stage = load_json(tmp_path / "run" / "stages" / "experts.json")
+        assert stage["payload"]["experts"] == json.loads(text)["experts"]
+
+    def test_save_model_writes_an_expert_changed_after_training(self, tmp_path):
+        result = run_pipeline(blob_dataset(seed=62, samples_per_mode=20), self.plan(), tmp_path / "run")
+        result.model.experts[1].layers[0].weight[2, 3] = 0.375
+        save_model(tmp_path / "model.json", result.model)
+        doc = load_json(tmp_path / "model.json")
+        assert doc["experts"][1]["weights"][0][2 * 6 + 3] == 0.375
+        assert load_model(tmp_path / "model.json").experts[1].layers[0].weight[2, 3] == 0.375
 
 
 class TestAblate:

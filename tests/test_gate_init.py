@@ -8,7 +8,9 @@ import pytest
 
 from moe_forge.errors import ShapeError
 from moe_forge.gate_init import (
+    _BLOCK_ROWS,
     Centroids,
+    _sq_distances,
     initial_gate,
     kmeans,
     median_sq_distance,
@@ -91,6 +93,19 @@ class TestKmeans:
             gate = initial_gate(points, cent)
             scores = -dense_sq_distances(points, cent.means) / median_sq_distance(cent)
             np.testing.assert_array_equal(gate.weights, softmax(scores))
+
+
+class TestSqDistances:
+    @pytest.mark.parametrize("n", [2 * _BLOCK_ROWS, 3 * _BLOCK_ROWS + 37, 17])
+    def test_blocks_equal_the_unblocked_formula_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        for dim in (3, 64, 257):
+            points, means = rng.normal(size=(n, dim)), rng.normal(size=(5, dim))
+            want = np.empty((n, 5))
+            for j, mean in enumerate(means):
+                diff = points - mean
+                want[:, j] = np.einsum("nd,nd->n", diff, diff)
+            np.testing.assert_array_equal(_sq_distances(points, means), want)
 
 
 def dense_sq_distances(points, means):

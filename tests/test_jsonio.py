@@ -141,3 +141,17 @@ class TestSaveJson:
             save_json(path, {"weights": np.array([np.nan])})
         assert load_json(path) == {"version": 1}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+class TestFragment:
+    @pytest.mark.parametrize("ensembler", ["bagging", "stacking"])
+    def test_a_fragment_writes_the_same_text_as_its_value(self, rng, ensembler):
+        doc = model_to_doc(random_model(rng, ensembler=ensembler))
+        held = {**doc, "experts": [jsonio.encode(e) for e in doc["experts"]]}
+        assert dumps(held) == dumps(doc)
+        assert dumps([jsonio.encode({"a": [-0.0, 0.1]}), 2]) == dumps([{"a": [-0.0, 0.1]}, 2])
+
+    def test_a_fragment_under_indent_raises(self):
+        doc = {"expert": jsonio.encode({"a": [1.0, 2.0]})}
+        with pytest.raises(ValueError, match="indent"):
+            dumps(doc, indent=2)
