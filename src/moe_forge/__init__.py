@@ -14,7 +14,6 @@ from .anytime import (
     anytime_predict,
     anytime_scores,
     convex_envelope,
-    gate_confidence_exit,
     ilp_exit_assignment,
     select_threshold,
     sweep_thresholds,
@@ -39,15 +38,13 @@ from .model import (
     mac_count,
     save_model,
 )
-from .nn import Network, SgdConfig, forward, init_network, load_network, save_network, sgd_train, weighted_nll
+from .nn import Network, SgdConfig, forward, init_network, sgd_train
 from .training import (
     Posterior,
     TrainPlan,
     e_step,
     elbo,
     m_step,
-    run_algorithm1,
-    run_em,
     run_pipeline,
     train_base,
     train_ensembler,

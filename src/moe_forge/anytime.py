@@ -20,6 +20,7 @@ from .data import LabeledDataset
 from .errors import ShapeError
 from .model import Gate, ModelEval, MoEModel, evaluate_dataset, slot_macs, top1_slots
 from .nn import SgdConfig, forward_batch
+from .training import fit_gate
 
 POLICIES = ("alpha_threshold", "base_confidence", "gate_confidence", "learned_gate")
 
@@ -158,11 +159,6 @@ def anytime_predict(model: MoEModel, x: np.ndarray, cfg: AnytimeConfig) -> Predi
     )
 
 
-def gate_confidence_exit(model: MoEModel, x: np.ndarray, tau: float) -> PredictOutcome:
-    """Exit with the base output when the gate itself is unsure (max weight < tau)."""
-    return anytime_predict(model, x, AnytimeConfig(tau=tau, policy="gate_confidence"))
-
-
 def sweep_thresholds(
     model: MoEModel,
     ds: LabeledDataset,
@@ -275,8 +271,6 @@ def train_exit_gate(
     expert the original gate would have picked.  Warm-starts from the
     trained gate with a zeroed exit row.
     """
-    from .training import fit_linear_softmax
-
     exit_labels = np.asarray(exit_labels, dtype=np.int64)
     if exit_labels.shape != (len(ds),):
         raise ShapeError("exit_labels must be 1-d with one entry per sample")
@@ -293,4 +287,4 @@ def train_exit_gate(
         weight=np.vstack([model.gate.weight, np.zeros((1, model.gate.in_dim))]),
         bias=np.append(model.gate.bias, 0.0),
     )
-    return fit_linear_softmax(fp.prelogits, targets, cfg, start=start)
+    return fit_gate(fp.prelogits, targets, cfg, start)

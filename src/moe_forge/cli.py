@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -30,8 +29,6 @@ from .gate_init import initial_gate, per_class_assignment
 from .model import MoEModel, evaluate_dataset, load_model, save_model, slot_macs, top1_slots
 from .nn import ForwardPass, SgdConfig, forward_batch
 from .training import PipelineResult, TrainPlan, plan_to_doc, run_pipeline
-
-WORKERS_ENV = "MOE_FORGE_WORKERS"
 
 _SGD_KEYS = {
     "learning_rate",
@@ -169,9 +166,9 @@ def _plan_from_config(config: dict) -> TrainPlan:
         "train",
     )
 
-    workers = config.get("workers")
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+    workers = config.get("workers", 1)
+    if type(workers) is not int or workers != 1:  # training is serial; configs may still say 1
+        raise ConfigError(f"workers: training runs serially, so only 1 is accepted (got {workers!r})")
     defaults = TrainPlan(layer_dims=(1, 1, 1), num_experts=1)
     temperature = model_doc.get("temperature")
     try:
@@ -187,7 +184,6 @@ def _plan_from_config(config: dict) -> TrainPlan:
             em_steps=int(train_doc.get("em_steps", 0)),
             expert_epochs=int(train_doc.get("expert_epochs", defaults.expert_epochs)),
             seed=int(config.get("seed", 0)),
-            workers=max(1, int(workers)),
             sgd_base=_sgd_from_doc(train_doc.get("sgd_base", {}), "train.sgd_base"),
             sgd_gate=(
                 _sgd_from_doc(train_doc["sgd_gate"], "train.sgd_gate")

@@ -114,6 +114,9 @@ def dumps(obj: Any, indent: int | None = None) -> str:
     return "".join(out)
 
 
+_WRITE_SLICE = 1 << 16  # characters per write in save_json
+
+
 def save_json(path: str | Path, obj: Any, indent: int | None = None) -> None:
     """Write ``dumps(obj)`` to path atomically: a temporary sibling, then a rename.
 
@@ -121,10 +124,15 @@ def save_json(path: str | Path, obj: Any, indent: int | None = None) -> None:
     data is not fsynced, so this does not guard against power loss.
     """
     path = Path(path)
-    text = dumps(obj, indent=indent) + "\n"
+    text = dumps(obj, indent=indent)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        tmp.write_text(text, encoding="utf-8")
+        # In slices, then the newline: one write of the whole text would first encode
+        # a second full copy of it (15 MB for a 64-256-256-32, K=8 model.json).
+        with tmp.open("w", encoding="utf-8") as out:
+            for start in range(0, len(text), _WRITE_SLICE):
+                out.write(text[start : start + _WRITE_SLICE])
+            out.write("\n")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

@@ -181,11 +181,6 @@ class MoEModel:
 
     # -- per-sample operations ------------------------------------------------
 
-    def gate_distribution(self, x: np.ndarray) -> np.ndarray:
-        """Softmax routing weights for one feature vector."""
-        fp = forward_batch(self.base, np.asarray(x, dtype=np.float64)[None, :])
-        return self.gate.distribution_batch(fp.prelogits)[0]
-
     def ensemble_output(self, k: int, x: np.ndarray) -> np.ndarray:
         """Class probabilities of expert k combined with the base by its ensembler."""
         if not 0 <= k < self.num_experts:
@@ -200,12 +195,6 @@ class MoEModel:
         ev = evaluate_dataset(self, np.asarray(x, dtype=np.float64)[None, :], select)
         chosen = int(ev.gate_probs[0, : self.num_experts].argmax())
         return ev.combined[chosen, 0], chosen
-
-    def soft_mixture(self, x: np.ndarray) -> np.ndarray:
-        """Full gate-weighted mixture over all ensembled experts (no routing)."""
-        ev = evaluate_dataset(self, np.asarray(x, dtype=np.float64)[None, :])
-        gate = ev.gate_probs[:, : self.num_experts]
-        return np.einsum("nk,knc->nc", gate, ev.combined)[0]
 
 
 def make_cost_model(model: MoEModel) -> CostModel:
@@ -367,7 +356,7 @@ def evaluate_dataset(
 # -- serialization -------------------------------------------------------------
 
 
-def _gate_to_doc(gate: Gate) -> dict:
+def gate_to_doc(gate: Gate) -> dict:
     return {
         "rows": gate.rows,
         "cols": gate.in_dim,
@@ -376,7 +365,7 @@ def _gate_to_doc(gate: Gate) -> dict:
     }
 
 
-def _gate_from_doc(doc: dict, where: str) -> Gate:
+def gate_from_doc(doc: dict, where: str) -> Gate:
     rows = jsonio.get_value(doc, "rows", int, where)
     cols = jsonio.get_value(doc, "cols", int, where)
     return Gate(
@@ -385,7 +374,7 @@ def _gate_from_doc(doc: dict, where: str) -> Gate:
     )
 
 
-def _ensembler_to_doc(ens: Ensembler) -> dict:
+def ensembler_to_doc(ens: Ensembler) -> dict:
     doc: dict = {"kind": ens.kind}
     if ens.kind == "stacking":
         doc["weight"] = ens.weight.reshape(-1)
@@ -394,7 +383,7 @@ def _ensembler_to_doc(ens: Ensembler) -> dict:
     return doc
 
 
-def _ensembler_from_doc(doc: dict, where: str) -> Ensembler:
+def ensembler_from_doc(doc: dict, where: str) -> Ensembler:
     kind = jsonio.get_value(doc, "kind", str, where)
     if kind != "stacking":
         return Ensembler(kind=kind)
@@ -419,9 +408,9 @@ def model_to_doc(model: MoEModel, experts: list[jsonio.Fragment] | None = None) 
         "kind": "moe_model",
         "shared_prefix": model.shared_prefix,
         "base": network_to_doc(model.base),
-        "gate": _gate_to_doc(model.gate),
+        "gate": gate_to_doc(model.gate),
         "experts": experts if experts is not None else [network_to_doc(e) for e in model.experts],
-        "ensemblers": [_ensembler_to_doc(e) for e in model.ensemblers],
+        "ensemblers": [ensembler_to_doc(e) for e in model.ensemblers],
         "centroids": None,
         "temperature": model.temperature,
     }
@@ -439,7 +428,7 @@ def model_from_doc(doc: dict) -> MoEModel:
     jsonio.check_format_version(doc, 1, "model checkpoint")
     try:
         base = network_from_doc(jsonio.get_value(doc, "base", dict), "base")
-        gate = _gate_from_doc(jsonio.get_value(doc, "gate", dict), "gate")
+        gate = gate_from_doc(jsonio.get_value(doc, "gate", dict), "gate")
         experts = jsonio.get_value(doc, "experts", list)
         ensemblers = jsonio.get_value(doc, "ensemblers", list)
         centroids = None
@@ -455,7 +444,7 @@ def model_from_doc(doc: dict) -> MoEModel:
             base=base,
             gate=gate,
             experts=[network_from_doc(e, f"experts[{i}]") for i, e in enumerate(experts)],
-            ensemblers=[_ensembler_from_doc(e, f"ensemblers[{i}]") for i, e in enumerate(ensemblers)],
+            ensemblers=[ensembler_from_doc(e, f"ensemblers[{i}]") for i, e in enumerate(ensemblers)],
             shared_prefix=jsonio.get_value(doc, "shared_prefix", int),
             centroids=centroids,
             temperature=temperature,

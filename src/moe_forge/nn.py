@@ -10,9 +10,9 @@ expert networks consume.
 
 from __future__ import annotations
 
-import copy
-from dataclasses import dataclass, field
-from pathlib import Path
+import math
+from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -164,15 +164,6 @@ def forward(net: Network, x: np.ndarray) -> ForwardPass:
     return ForwardPass(out.tap[0], out.prelogits[0], out.logits[0], out.probs[0])
 
 
-def weighted_nll(probs: np.ndarray, label: int, weight: float) -> float:
-    """-weight * log p(label), with the probability clamped at 1e-12."""
-    if not 0 <= label < probs.shape[-1]:
-        raise ShapeError(f"label {label} out of range for {probs.shape[-1]} classes")
-    if weight < 0:
-        raise ValueError("weight must be non-negative")
-    return float(-weight * np.log(max(probs[label], PROB_FLOOR)))
-
-
 def nll_batch(probs: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> float:
     """Mean weighted negative log-likelihood over a batch."""
     picked = probs[np.arange(len(labels)), labels]
@@ -183,15 +174,29 @@ def dataset_loss(net: Network, x: np.ndarray, labels: np.ndarray, weights: np.nd
     return nll_batch(forward_batch(net, x).probs, labels, weights)
 
 
-def backward(
-    net: Network, x: np.ndarray, labels: np.ndarray, weights: np.ndarray
-) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exact gradients of the mean weighted NLL over the batch.
+def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
+    """[N, num_classes] target rows with a 1 at each label."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ShapeError(f"labels must be 1-d, got shape {labels.shape}")
+    if len(labels) and (labels.min() < 0 or labels.max() >= num_classes):
+        raise ShapeError(f"labels out of range for {num_classes} outputs")
+    rows = np.zeros((len(labels), num_classes))
+    rows[np.arange(len(labels)), labels] = 1.0
+    return rows
 
-    Returns one (d_weight, d_bias) pair per layer.
+
+def backward(
+    net: Network, x: np.ndarray, targets: np.ndarray, weights: np.ndarray
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Exact gradients of the mean weighted cross-entropy over the batch.
+
+    ``targets`` holds one row per sample: a one-hot class label or any
+    distribution over the outputs.  For a distribution the loss differs
+    from the mean KL to it only by a constant, so the gradients are the
+    same.  Returns one (d_weight, d_bias) pair per layer.
     """
     x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels)
     weights = np.asarray(weights, dtype=np.float64)
     n = x.shape[0]
     if n == 0:
@@ -208,9 +213,7 @@ def backward(
         acts.append(a)
     probs = softmax(acts[-1])
 
-    onehot = np.zeros_like(probs)
-    onehot[np.arange(n), labels] = 1.0
-    delta = (probs - onehot) * weights[:, None] / n
+    delta = (probs - targets) * weights[:, None] / n
 
     grads: list[tuple[np.ndarray, np.ndarray]] = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
@@ -222,86 +225,64 @@ def backward(
     return grads
 
 
-class SgdStepper:
-    """Momentum SGD state shared by the epoch and stream training loops."""
-
-    def __init__(self, net: Network, cfg: SgdConfig):
-        self.cfg = cfg
-        self.velocity = [
-            (np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in net.layers
-        ]
-
-    def learning_rate(self, epoch: int) -> float:
-        decays = sum(1 for e in self.cfg.lr_decay_epochs if epoch >= e)
-        return self.cfg.learning_rate / (self.cfg.lr_decay_factor**decays)
-
-    def step(
-        self,
-        net: Network,
-        grads: list[tuple[np.ndarray, np.ndarray]],
-        lr: float,
-        frozen_prefix: int = 0,
-    ) -> None:
-        for i in range(frozen_prefix, len(net.layers)):
-            vw, vb = self.velocity[i]
-            gw, gb = grads[i]
-            vw *= self.cfg.momentum
-            vw += gw
-            vb *= self.cfg.momentum
-            vb += gb
-            net.layers[i].weight -= lr * vw
-            net.layers[i].bias -= lr * vb
-
-
-def _check_training_args(
-    net: Network, x: np.ndarray, labels: np.ndarray, weights: np.ndarray, frozen_prefix: int
-) -> None:
-    if x.ndim != 2 or x.shape[1] != net.input_dim:
-        raise ShapeError(f"expected features of shape [N, {net.input_dim}], got {x.shape}")
-    if x.shape[0] == 0:
-        raise DataError("cannot train on an empty dataset")
-    if labels.shape != (x.shape[0],) or weights.shape != (x.shape[0],):
-        raise ShapeError("labels and weights must be 1-d arrays matching the feature count")
-    if labels.min() < 0 or labels.max() >= net.output_dim:
-        raise ShapeError(f"labels out of range for {net.output_dim} outputs")
-    if np.any(weights < 0):
-        raise ValueError("per-sample weights must be non-negative")
-    if not 0 <= frozen_prefix <= net.tap_index + 1:
-        raise ValueError(
-            f"frozen_prefix {frozen_prefix} must lie in [0, tap_index + 1 = {net.tap_index + 1}]"
-        )
+def learning_rate(cfg: SgdConfig, epoch: int) -> float:
+    """cfg.learning_rate divided by lr_decay_factor once per decay epoch reached."""
+    decays = sum(1 for e in cfg.lr_decay_epochs if epoch >= e)
+    return cfg.learning_rate / (cfg.lr_decay_factor**decays)
 
 
 def sgd_train(
     net: Network,
     x: np.ndarray,
-    labels: np.ndarray,
+    targets: np.ndarray,
     weights: np.ndarray,
     cfg: SgdConfig,
-    frozen_prefix: int = 0,
+    batches: Iterator[np.ndarray] | None = None,
 ) -> Network:
-    """Train a private copy of the net; the input network is untouched.
+    """Train a private copy of the net with momentum SGD; the input network is untouched.
 
-    Epochs iterate over a seeded shuffle of the data in batches of
-    cfg.batch_size (last batch may be short).  Layers with index below
-    frozen_prefix keep their parameters bit-identical to the input.
+    ``targets`` are [N] class labels, turned into one-hot rows once here,
+    or [N, outputs] target rows.  Without ``batches`` each epoch runs over
+    a seeded shuffle of the data in batches of cfg.batch_size (the last
+    batch may be short).  Given an index-batch stream, each epoch draws
+    ceil(N / cfg.batch_size) batches from it instead.
     """
     x = np.asarray(x, dtype=np.float64)
-    labels = np.asarray(labels)
+    targets = np.asarray(targets)
     weights = np.asarray(weights, dtype=np.float64)
-    _check_training_args(net, x, labels, weights, frozen_prefix)
+    if x.ndim != 2 or x.shape[1] != net.input_dim:
+        raise ShapeError(f"expected features of shape [N, {net.input_dim}], got {x.shape}")
+    n = x.shape[0]
+    if n == 0:
+        raise DataError("cannot train on an empty dataset")
+    if targets.ndim == 1:
+        targets = one_hot(targets, net.output_dim)
+    if targets.shape != (n, net.output_dim) or weights.shape != (n,):
+        raise ShapeError(
+            f"targets must be [{n}] labels or [{n}, {net.output_dim}] rows, and weights [{n}]"
+        )
+    if np.any(weights < 0):
+        raise ValueError("per-sample weights must be non-negative")
 
     out = net.copy()
-    stepper = SgdStepper(out, cfg)
+    velocity = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in out.layers]
     rng = np.random.default_rng(cfg.seed)
-    n = x.shape[0]
     for epoch in range(cfg.epochs):
-        lr = stepper.learning_rate(epoch)
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            idx = perm[start : start + cfg.batch_size]
-            grads = backward(out, x[idx], labels[idx], weights[idx])
-            stepper.step(out, grads, lr, frozen_prefix)
+        lr = learning_rate(cfg, epoch)
+        if batches is None:
+            perm = rng.permutation(n)
+            epoch_batches = (perm[start : start + cfg.batch_size] for start in range(0, n, cfg.batch_size))
+        else:
+            epoch_batches = (next(batches) for _ in range(math.ceil(n / cfg.batch_size)))
+        for idx in epoch_batches:
+            grads = backward(out, x[idx], targets[idx], weights[idx])
+            for layer, (vw, vb), (gw, gb) in zip(out.layers, velocity, grads):
+                vw *= cfg.momentum
+                vw += gw
+                vb *= cfg.momentum
+                vb += gb
+                layer.weight -= lr * vw
+                layer.bias -= lr * vb
     return out
 
 
@@ -377,11 +358,3 @@ def network_from_doc(doc: dict, where: str = "") -> Network:
         return Network(layers=layers, tap_index=tap_index)
     except ShapeError as exc:
         raise PipelineError(f"{context}: {exc}") from exc
-
-
-def save_network(path: str | Path, net: Network) -> None:
-    jsonio.save_json(path, network_to_doc(net))
-
-
-def load_network(path: str | Path) -> Network:
-    return network_from_doc(jsonio.load_json(path))

@@ -3,19 +3,18 @@
 The asynchronous recipe trains the base first, clusters its embeddings
 to fix a soft sample-to-expert assignment, fits the gate to that
 assignment, then trains every expert independently on its weighted slice
-of the data (optionally in parallel) and finally the per-expert
-ensemblers.  The EM variant interleaves posterior re-estimation with
-expert/gate updates, splitting the expert epoch budget into segments;
-with zero E steps it reduces exactly to the asynchronous recipe.
+of the data and finally the per-expert ensemblers.  The EM variant
+interleaves posterior re-estimation (``e_step``) with expert/gate updates
+(``m_step``), splitting the expert epoch budget into segments; with zero
+E steps it reduces exactly to the asynchronous recipe.  Every network,
+the gate included, is trained by ``nn.sgd_train``.
 """
 
 from __future__ import annotations
 
 import copy
 import hashlib
-import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
@@ -37,21 +36,22 @@ from .model import (
     Ensembler,
     Gate,
     MoEModel,
-    model_from_doc,
-    model_to_doc,
+    ensembler_from_doc,
+    ensembler_to_doc,
+    gate_from_doc,
+    gate_to_doc,
 )
 from .nn import (
     PROB_FLOOR,
     ForwardPass,
+    Layer,
     Network,
     SgdConfig,
-    SgdStepper,
-    backward,
     forward_batch,
     init_network,
     network_from_doc,
     network_to_doc,
-    softmax,
+    sgd_train,
 )
 from .seeding import derive_seed
 
@@ -74,7 +74,6 @@ class TrainPlan:
     em_steps: int = 0  # number of posterior re-estimation steps
     expert_epochs: int = 8  # total expert epochs, split across em_steps + 1 segments
     seed: int = 0
-    workers: int = 1
     sgd_base: SgdConfig = field(default_factory=SgdConfig)
     sgd_gate: SgdConfig = field(default_factory=lambda: SgdConfig(learning_rate=0.5, epochs=60))
     sgd_expert: SgdConfig = field(default_factory=SgdConfig)
@@ -98,8 +97,6 @@ class TrainPlan:
             raise ValueError(f"unknown routing {self.routing!r}")
         if self.em_steps < 0 or self.expert_epochs < 0:
             raise ValueError("em_steps and expert_epochs must be non-negative")
-        if self.workers < 1:
-            raise ValueError("workers must be positive")
 
 
 @dataclass
@@ -118,56 +115,30 @@ def mean_kl(targets: np.ndarray, probs: np.ndarray) -> float:
     return float(np.mean(np.sum(t * logs, axis=1)))
 
 
-def fit_linear_softmax(
-    inputs: np.ndarray,
-    targets: np.ndarray,
-    cfg: SgdConfig,
-    start: Gate | None = None,
-    sample_weights: np.ndarray | None = None,
+def fit_gate(
+    inputs: np.ndarray, targets: np.ndarray, cfg: SgdConfig, start: Gate | None = None
 ) -> Gate:
-    """Fit a linear-softmax map to row-stochastic targets by minibatch SGD.
+    """Fit a linear-softmax gate to row-stochastic [N, rows] targets.
 
-    Minimizes the mean (optionally sample-weighted) KL from the targets
-    to the model distribution, which is convex in the parameters.  With
-    start=None the parameters begin at zero (a uniform distribution).
+    The gate is trained as a one-layer linear network by ``sgd_train``,
+    which minimizes the mean KL from the targets to the gate's
+    distribution, a convex objective.  With start=None the parameters
+    begin at zero (a uniform distribution).
     """
-    inputs = np.asarray(inputs, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    n, p = inputs.shape
-    if targets.ndim != 2 or targets.shape[0] != n:
-        raise ShapeError("targets must be [N, rows] aligned with inputs")
-    rows = targets.shape[1]
-    if sample_weights is None:
-        sample_weights = np.ones(n)
-    gate = start.copy() if start is not None else Gate(np.zeros((rows, p)), np.zeros(rows))
-    if gate.weight.shape != (rows, p):
-        raise ShapeError(f"start gate has shape {gate.weight.shape}, expected {(rows, p)}")
-
-    vel_w = np.zeros_like(gate.weight)
-    vel_b = np.zeros_like(gate.bias)
-    rng = np.random.default_rng(cfg.seed)
-    for epoch in range(cfg.epochs):
-        decays = sum(1 for e in cfg.lr_decay_epochs if epoch >= e)
-        lr = cfg.learning_rate / (cfg.lr_decay_factor**decays)
-        perm = rng.permutation(n)
-        for startx in range(0, n, cfg.batch_size):
-            idx = perm[startx : startx + cfg.batch_size]
-            x = inputs[idx]
-            probs = softmax(x @ gate.weight.T + gate.bias)
-            delta = (probs - targets[idx]) * sample_weights[idx, None] / len(idx)
-            vel_w = cfg.momentum * vel_w + delta.T @ x
-            vel_b = cfg.momentum * vel_b + delta.sum(axis=0)
-            gate.weight -= lr * vel_w
-            gate.bias -= lr * vel_b
-    return gate
+    if targets.ndim != 2:
+        raise ShapeError("targets must be [N, rows]")
+    if start is None:
+        start = Gate(np.zeros((targets.shape[1], np.shape(inputs)[1])), np.zeros(targets.shape[1]))
+    net = Network([Layer(start.weight, start.bias, "identity")], tap_index=0)
+    fitted = sgd_train(net, inputs, targets, np.ones(len(targets)), cfg).layers[0]
+    return Gate(fitted.weight, fitted.bias)
 
 
 def train_base(
     ds: LabeledDataset, layer_dims: Sequence[int], tap_index: int, cfg: SgdConfig
 ) -> Network:
     """Train the base classifier on the full dataset with unit weights."""
-    from .nn import sgd_train
-
     net = init_network(list(layer_dims), tap_index, seed=derive_seed(cfg.seed, "init"))
     return sgd_train(net, ds.features, ds.labels, np.ones(len(ds)), cfg)
 
@@ -183,7 +154,7 @@ def train_gate(
     """Fit the linear gate on base pre-logits to match a soft assignment."""
     if prelogits is None:
         prelogits = forward_batch(base, ds.features).prelogits
-    return fit_linear_softmax(prelogits, targets, cfg, start=start)
+    return fit_gate(prelogits, targets, cfg, start)
 
 
 def expert_tail(base: Network) -> Network:
@@ -198,32 +169,9 @@ def expert_tail(base: Network) -> Network:
     return tail
 
 
-def _sgd_train_sampled(
-    net: Network,
-    features: np.ndarray,
-    labels: np.ndarray,
-    ds: LabeledDataset,
-    sample_weights: np.ndarray,
-    cfg: SgdConfig,
-) -> Network:
-    """Train on batches drawn proportionally to sample_weights (loss weight 1)."""
-    out = net.copy()
-    stepper = SgdStepper(out, cfg)
-    stream = weighted_batches(ds, sample_weights, cfg.batch_size, seed=cfg.seed)
-    steps_per_epoch = math.ceil(len(ds) / cfg.batch_size)
-    ones = np.ones(cfg.batch_size)
-    for epoch in range(cfg.epochs):
-        lr = stepper.learning_rate(epoch)
-        for _ in range(steps_per_epoch):
-            idx = next(stream)
-            grads = backward(out, features[idx], labels[idx], ones)
-            stepper.step(out, grads, lr)
-    return out
-
-
 def train_expert(
     k: int,
-    base: Network,
+    base: Network | None,
     sample_weights: np.ndarray,
     ds: LabeledDataset,
     cfg: SgdConfig,
@@ -235,10 +183,10 @@ def train_expert(
 
     "reweight" scales each sample's loss by its weight; "sample" draws
     training batches proportionally to the weights instead.  The expert
-    starts from the base tail unless a partially trained start is given.
+    starts from the base tail unless a partially trained start is given;
+    the base is needed only for what ``start`` and ``tap_features`` leave
+    out.
     """
-    from .nn import sgd_train
-
     sample_weights = np.asarray(sample_weights, dtype=np.float64)
     if sample_weights.shape != (len(ds),):
         raise ShapeError("sample_weights must be 1-d with one entry per sample")
@@ -252,7 +200,8 @@ def train_expert(
         tap_features = forward_batch(base, ds.features).tap
     if negative_handling == "reweight":
         return sgd_train(net, tap_features, ds.labels, sample_weights, cfg)
-    return _sgd_train_sampled(net, tap_features, ds.labels, ds, sample_weights, cfg)
+    stream = weighted_batches(ds, sample_weights, cfg.batch_size, seed=cfg.seed)
+    return sgd_train(net, tap_features, ds.labels, np.ones(len(ds)), cfg, batches=stream)
 
 
 def train_ensembler(
@@ -271,8 +220,6 @@ def train_ensembler(
     log-probabilities back to class logits, trained with the same
     per-sample weights the expert saw.
     """
-    from .nn import Layer, sgd_train
-
     if kind != "stacking":
         return Ensembler(kind=kind)
     if base_probs is None or tap_features is None:
@@ -293,82 +240,60 @@ def train_ensembler(
 # -- EM steps -------------------------------------------------------------------
 
 
-def e_step(model: MoEModel, ds: LabeledDataset) -> Posterior:
+def _expert_likelihood(base_pass: ForwardPass, experts: list[Network], labels: np.ndarray) -> np.ndarray:
+    """[N, K] probability each expert gives the true label, run on the base's tap output."""
+    rows = np.arange(len(labels))
+    like = np.empty((len(labels), len(experts)))
+    for k, expert in enumerate(experts):
+        like[:, k] = forward_batch(expert, base_pass.tap).probs[rows, labels]
+    return like
+
+
+def e_step(base_pass: ForwardPass, gate: Gate, experts: list[Network], labels: np.ndarray) -> Posterior:
     """Posterior over experts given the true label, using raw expert outputs.
 
-    q[i, k] is proportional to gate(k | x_i) * expert_k(y_i | x_i),
-    normalized per row.  Rows with zero mass fall back to uniform and are
-    counted so a run can report how often that happened.
+    ``base_pass`` is the base's forward pass over the samples.  q[i, k] is
+    proportional to gate(k | x_i) * expert_k(y_i | x_i), normalized per
+    row.  Rows with zero mass fall back to uniform and are counted so a
+    run can report how often that happened.
     """
-    return _responsibilities(model.base, model.gate, model.experts, ds)
-
-
-def _responsibilities(
-    base: Network, gate: Gate, experts: list[Network], ds: LabeledDataset
-) -> Posterior:
-    fp = forward_batch(base, ds.features)
-    gate_probs = gate.distribution_batch(fp.prelogits)[:, : len(experts)]
-    n = len(ds)
-    rows = np.arange(n)
-    joint = np.empty((n, len(experts)))
-    for k, expert in enumerate(experts):
-        probs = forward_batch(expert, fp.tap).probs
-        joint[:, k] = gate_probs[:, k] * probs[rows, ds.labels]
+    k = len(experts)
+    gate_probs = gate.distribution_batch(base_pass.prelogits)[:, :k]
+    joint = gate_probs * _expert_likelihood(base_pass, experts, labels)
     mass = joint.sum(axis=1, keepdims=True)
     zero = mass[:, 0] <= 0.0
-    q = np.where(zero[:, None], 1.0 / len(experts), joint / np.where(mass > 0, mass, 1.0))
+    q = np.where(zero[:, None], 1.0 / k, joint / np.where(mass > 0, mass, 1.0))
     return Posterior(q=q, zero_mass_rows=int(zero.sum()))
 
 
 def m_step(
-    model: MoEModel,
+    base_pass: ForwardPass,
+    gate: Gate,
+    experts: list[Network],
     posterior: Posterior,
     ds: LabeledDataset,
     epochs: int,
     plan: TrainPlan,
     segment: int = 1,
-) -> MoEModel:
-    """Continue expert training under smoothed responsibilities, refit the gate."""
+) -> tuple[Gate, list[Network]]:
+    """Refit the gate to the responsibilities and continue every expert under them, smoothed.
+
+    ``base_pass`` is the base's forward pass over ``ds``.  Returns the new
+    gate and experts; the given ones are left as they are.
+    """
+    cfg = replace(plan.sgd_gate, seed=derive_seed(plan.seed, "gate", "segment", segment))
+    gate = fit_gate(base_pass.prelogits, posterior.q, cfg, start=gate)
     weights = smooth_weights(posterior.q, plan.gamma)
-    fp = forward_batch(model.base, ds.features)
-    gate = fit_linear_softmax(
-        fp.prelogits,
-        posterior.q,
-        replace(plan.sgd_gate, seed=derive_seed(plan.seed, "gate", "segment", segment)),
-        start=model.gate,
-    )
-    experts = _train_expert_set(
-        model.base,
-        [e.copy() for e in model.experts],
-        weights,
-        ds,
-        plan,
-        epochs,
-        segment,
-        fp.tap,
-    )
-    return MoEModel(
-        base=model.base,
-        gate=gate,
-        experts=experts,
-        ensemblers=model.ensemblers,
-        shared_prefix=model.shared_prefix,
-        centroids=model.centroids,
-        temperature=model.temperature,
-    )
+    return gate, _train_expert_set(experts, weights, ds, plan, epochs, segment, base_pass.tap)
 
 
-def elbo(model: MoEModel, posterior: Posterior, ds: LabeledDataset) -> float:
+def elbo(
+    base_pass: ForwardPass, gate: Gate, experts: list[Network], posterior: Posterior, labels: np.ndarray
+) -> float:
     """Mean evidence lower bound: E_q[log expert likelihood] - KL(q || gate)."""
-    fp = forward_batch(model.base, ds.features)
-    gate_probs = model.gate.distribution_batch(fp.prelogits)[:, : model.num_experts]
-    n = len(ds)
-    rows = np.arange(n)
+    gate_probs = gate.distribution_batch(base_pass.prelogits)[:, : len(experts)]
+    log_like = np.log(np.maximum(_expert_likelihood(base_pass, experts, labels), PROB_FLOOR))
     q = posterior.q
-    log_like = np.empty_like(q)
-    for k, expert in enumerate(model.experts):
-        probs = forward_batch(expert, fp.tap).probs
-        log_like[:, k] = np.log(np.maximum(probs[rows, ds.labels], PROB_FLOOR))
     safe_q = np.where(q > 0, q, 1.0)
     kl = q * (np.log(safe_q) - np.log(np.maximum(gate_probs, PROB_FLOOR)))
     return float(np.mean((q * log_like - kl).sum(axis=1)))
@@ -411,8 +336,7 @@ class PipelineResult:
 
 
 def plan_to_doc(plan: TrainPlan) -> dict:
-    """Plan as a JSON-ready dict; the worker count is excluded because it
-    never changes the result, only the wall-clock."""
+    """Plan as a JSON-ready dict."""
 
     def sgd_doc(cfg: SgdConfig) -> dict:
         return {
@@ -457,7 +381,13 @@ def dataset_hash(ds: LabeledDataset) -> str:
 
 
 class _StageStore:
-    """Loads and saves per-stage checkpoints, guarding plan/data identity."""
+    """Loads and saves per-stage checkpoints, guarding plan/data identity.
+
+    Version 2 payloads write gates and ensemblers with the model
+    checkpoint's document helpers.
+    """
+
+    FORMAT_VERSION = 2
 
     def __init__(self, out_dir: Path | None, plan_digest: str, data_digest: str):
         self.dir = out_dir / "stages" if out_dir is not None else None
@@ -477,7 +407,7 @@ class _StageStore:
         if not path.exists():
             return False
         doc = jsonio.load_json(path)
-        jsonio.check_format_version(doc, 1, f"stage checkpoint {path}")
+        jsonio.check_format_version(doc, self.FORMAT_VERSION, f"stage checkpoint {path}")
         if doc.get("plan_hash") != self.plan_digest or doc.get("data_hash") != self.data_digest:
             raise PipelineError(
                 f"stage checkpoint {path} was produced by a different plan or dataset; "
@@ -493,7 +423,7 @@ class _StageStore:
         if self.dir is None:
             return
         doc = {
-            "format_version": 1,
+            "format_version": self.FORMAT_VERSION,
             "stage": name,
             "plan_hash": self.plan_digest,
             "data_hash": self.data_digest,
@@ -510,9 +440,16 @@ def _stage_list(payload: dict, key: str, length: int) -> list:
     return items
 
 
+def _stage_gate(payload: dict, key: str, shape: tuple[int, int]) -> Gate:
+    """The gate document at payload[key], checked to have the plan's [rows, dim] shape."""
+    gate = gate_from_doc(jsonio.get_value(payload, key, dict), key)
+    if gate.weight.shape != shape:
+        raise PipelineError(f"key {key!r}: expected a {list(shape)} gate, got {list(gate.weight.shape)}")
+    return gate
+
+
 def _train_expert_set(
-    base: Network,
-    starts: list[Network | None],
+    starts: list[Network],
     weights: np.ndarray,
     ds: LabeledDataset,
     plan: TrainPlan,
@@ -520,57 +457,15 @@ def _train_expert_set(
     segment: int,
     tap_features: np.ndarray,
 ) -> list[Network]:
-    """Train every expert for one segment; order and worker count never matter."""
-
-    def task(k: int) -> Network:
+    """Train every expert for one segment; each depends only on its own seed, so order never matters."""
+    experts = []
+    for k, start in enumerate(starts):
         cfg = replace(
-            plan.sgd_expert,
-            epochs=epochs,
-            seed=derive_seed(plan.seed, "expert", k, "segment", segment),
+            plan.sgd_expert, epochs=epochs, seed=derive_seed(plan.seed, "expert", k, "segment", segment)
         )
-        return train_expert(
-            k,
-            base,
-            weights[:, k],
-            ds,
-            cfg,
-            negative_handling=plan.negative_handling,
-            start=starts[k],
-            tap_features=tap_features,
-        )
-
-    if plan.workers > 1:
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            return list(pool.map(task, range(plan.num_experts)))
-    return [task(k) for k in range(plan.num_experts)]
-
-
-def _train_ensembler_set(
-    base: Network,
-    experts: list[Network],
-    weights: np.ndarray,
-    ds: LabeledDataset,
-    plan: TrainPlan,
-    tap_features: np.ndarray,
-    base_probs: np.ndarray,
-) -> list[Ensembler]:
-    def task(k: int) -> Ensembler:
-        cfg = replace(plan.sgd_ensembler, seed=derive_seed(plan.seed, "ensembler", k))
-        return train_ensembler(
-            plan.ensembler,
-            base,
-            experts[k],
-            ds,
-            weights[:, k],
-            cfg,
-            tap_features=tap_features,
-            base_probs=base_probs,
-        )
-
-    if plan.workers > 1 and plan.ensembler == "stacking":
-        with ThreadPoolExecutor(max_workers=plan.workers) as pool:
-            return list(pool.map(task, range(plan.num_experts)))
-    return [task(k) for k in range(plan.num_experts)]
+        expert = train_expert(k, None, weights[:, k], ds, cfg, plan.negative_handling, start, tap_features)
+        experts.append(expert)
+    return experts
 
 
 def run_pipeline(
@@ -626,9 +521,7 @@ def run_pipeline(
 
     def restore_init(p: dict) -> None:
         k, dim = plan.num_experts, base.prelogit_dim
-        history = ()
-        if "inertia_history" in p:  # older stage files lack it
-            history = tuple(jsonio.get_array(p, "inertia_history", None).tolist())
+        history = tuple(jsonio.get_array(p, "inertia_history", None).tolist())
         state["centroids"] = Centroids(jsonio.get_array(p, "centroid_means", (k, dim)), history)
         state["init"] = InitialGate(
             weights=jsonio.get_array(p, "weights", (len(ds), k)),
@@ -652,14 +545,13 @@ def run_pipeline(
     # Step 3: fit the gate to the initial assignment.
     def compute_gate() -> dict:
         cfg = replace(plan.sgd_gate, seed=derive_seed(plan.seed, "gate"))
-        gate = state["gate"] = train_gate(targets, base, ds, cfg, prelogits=fp.prelogits)
-        return {"weight": gate.weight.reshape(-1), "bias": gate.bias}
+        state["gate"] = train_gate(targets, base, ds, cfg, prelogits=fp.prelogits)
+        return {"gate": gate_to_doc(state["gate"])}
+
+    gate_shape = (plan.num_experts, base.prelogit_dim)
 
     def restore_gate(p: dict) -> None:
-        state["gate"] = Gate(
-            weight=jsonio.get_array(p, "weight", (plan.num_experts, base.prelogit_dim)),
-            bias=jsonio.get_array(p, "bias", (plan.num_experts,)),
-        )
+        state["gate"] = _stage_gate(p, "gate", gate_shape)
 
     run_stage("gate", compute_gate, restore_gate)
 
@@ -668,23 +560,14 @@ def run_pipeline(
         gate = state["gate"]
         lengths = segment_lengths(plan.expert_epochs, plan.em_steps)
         weights = smooth_weights(targets, plan.gamma)
-        experts = _train_expert_set(
-            base, [None] * plan.num_experts, weights, ds, plan, lengths[0], 0, fp.tap
-        )
+        starts = [expert_tail(base)] * plan.num_experts  # sgd_train never changes its input
+        experts = _train_expert_set(starts, weights, ds, plan, lengths[0], 0, fp.tap)
         zero_rows = 0
         for step in range(1, plan.em_steps + 1):
-            posterior = _responsibilities(base, gate, experts, ds)
+            posterior = e_step(fp, gate, experts, ds.labels)
             zero_rows += posterior.zero_mass_rows
-            gate = fit_linear_softmax(
-                fp.prelogits,
-                posterior.q,
-                replace(plan.sgd_gate, seed=derive_seed(plan.seed, "gate", "segment", step)),
-                start=gate,
-            )
-            weights = smooth_weights(posterior.q, plan.gamma)
-            experts = _train_expert_set(
-                base, experts, weights, ds, plan, lengths[step], step, fp.tap
-            )
+            gate, experts = m_step(fp, gate, experts, posterior, ds, lengths[step], plan, step)
+            weights = smooth_weights(posterior.q, plan.gamma)  # the weights m_step trained under
         # Encoded once here; the checkpoint and model.json both write this text.
         text = [jsonio.encode(network_to_doc(e)) for e in experts]
         state.update(
@@ -692,8 +575,7 @@ def run_pipeline(
         )
         return {
             "experts": text,
-            "gate_weight": gate.weight.reshape(-1),
-            "gate_bias": gate.bias,
+            "gate": gate_to_doc(gate),
             "final_weights": weights,
             "zero_mass_rows": zero_rows,
         }
@@ -701,10 +583,7 @@ def run_pipeline(
     def restore_experts(p: dict) -> None:
         docs = _stage_list(p, "experts", plan.num_experts)
         state["experts"] = [network_from_doc(doc, f"experts[{k}]") for k, doc in enumerate(docs)]
-        state["gate"] = Gate(
-            weight=jsonio.get_array(p, "gate_weight", (plan.num_experts, base.prelogit_dim)),
-            bias=jsonio.get_array(p, "gate_bias", (plan.num_experts,)),
-        )
+        state["gate"] = _stage_gate(p, "gate", gate_shape)
         state["final_weights"] = jsonio.get_array(p, "final_weights", (len(ds), plan.num_experts))
         state["zero_mass_rows"] = jsonio.get_value(p, "zero_mass_rows", int)
 
@@ -712,35 +591,24 @@ def run_pipeline(
 
     # Step 5: ensemblers, once every expert is fully trained.
     def compute_ensemblers() -> dict:
-        ensemblers = state["ensemblers"] = _train_ensembler_set(
-            base, state["experts"], state["final_weights"], ds, plan, fp.tap, fp.probs
-        )
-        docs = []
-        for ens in ensemblers:
-            doc: dict = {"kind": ens.kind}
-            if ens.kind == "stacking":
-                doc["weight"] = ens.weight.reshape(-1)
-                doc["bias"] = ens.bias
-            docs.append(doc)
-        return {"ensemblers": docs}
+        ensemblers = state["ensemblers"] = [
+            train_ensembler(
+                plan.ensembler,
+                base,
+                expert,
+                ds,
+                state["final_weights"][:, k],
+                replace(plan.sgd_ensembler, seed=derive_seed(plan.seed, "ensembler", k)),
+                tap_features=fp.tap,
+                base_probs=fp.probs,
+            )
+            for k, expert in enumerate(state["experts"])
+        ]
+        return {"ensemblers": [ensembler_to_doc(e) for e in ensemblers]}
 
     def restore_ensemblers(p: dict) -> None:
-        ensemblers = []
-        c = ds.num_classes
-        for k, doc in enumerate(_stage_list(p, "ensemblers", plan.num_experts)):
-            where = f"ensemblers[{k}]"
-            kind = jsonio.get_value(doc, "kind", str, where)
-            if kind == "stacking":
-                ensemblers.append(
-                    Ensembler(
-                        kind="stacking",
-                        weight=jsonio.get_array(doc, "weight", (c, 2 * c), where),
-                        bias=jsonio.get_array(doc, "bias", (c,), where),
-                    )
-                )
-            else:
-                ensemblers.append(Ensembler(kind=kind))
-        state["ensemblers"] = ensemblers
+        docs = _stage_list(p, "ensemblers", plan.num_experts)
+        state["ensemblers"] = [ensembler_from_doc(doc, f"ensemblers[{k}]") for k, doc in enumerate(docs)]
 
     run_stage("ensemblers", compute_ensemblers, restore_ensemblers)
 
@@ -766,18 +634,6 @@ def run_pipeline(
     if out_path is not None:
         _write_diagnostics(out_path, result, targets, ds)
     return result
-
-
-def run_algorithm1(
-    ds: LabeledDataset, plan: TrainPlan, out_dir: str | Path | None = None
-) -> MoEModel:
-    """The asynchronous recipe: base, clustering, gate, experts, ensemblers."""
-    return run_pipeline(ds, replace(plan, em_steps=0), out_dir).model
-
-
-def run_em(ds: LabeledDataset, plan: TrainPlan, out_dir: str | Path | None = None) -> MoEModel:
-    """EM variant; plan.em_steps = 0 matches run_algorithm1 bit for bit."""
-    return run_pipeline(ds, plan, out_dir).model
 
 
 def _write_diagnostics(

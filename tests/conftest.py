@@ -5,10 +5,23 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
 from moe_forge.data import LabeledDataset, SyntheticSpec, generate_synthetic
-from moe_forge.gate_init import Centroids
+from moe_forge.gate_init import Centroids, initial_gate, kmeans, smooth_weights
 from moe_forge.model import Ensembler, Gate, MoEModel
 from moe_forge.nn import Layer, Network, forward_batch, init_network
+from moe_forge.seeding import derive_seed
+from moe_forge.training import (
+    TrainPlan,
+    e_step,
+    fit_gate,
+    segment_lengths,
+    train_base,
+    train_ensembler,
+    train_expert,
+    train_gate,
+)
 
 
 def random_network(rng: np.random.Generator, dims: list[int], tap_index: int = 0) -> Network:
@@ -88,3 +101,38 @@ def blob_dataset(
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
+
+
+def staged_recipe(ds: LabeledDataset, plan: TrainPlan, order=None) -> MoEModel:
+    """The training recipe of a per-sample-routed plan, called stage by stage from the public
+    functions, with each expert and ensembler trained alone, one call each, in ``order``."""
+    k_all = range(plan.num_experts)
+    order = list(k_all) if order is None else list(order)
+    assert sorted(order) == list(k_all) and plan.routing == "per_sample"
+    cfg = replace(plan.sgd_base, seed=derive_seed(plan.seed, "base"))
+    base = train_base(ds, plan.layer_dims, plan.tap_index, cfg)
+    fp = forward_batch(base, ds.features)
+    centroids = kmeans(fp.prelogits, plan.num_experts, seed=derive_seed(plan.seed, "kmeans"))
+    init = initial_gate(fp.prelogits, centroids, plan.temperature)
+    gate = train_gate(init.weights, base, ds, replace(plan.sgd_gate, seed=derive_seed(plan.seed, "gate")))
+    q, experts = init.weights, [None] * plan.num_experts
+    for segment, epochs in enumerate(segment_lengths(plan.expert_epochs, plan.em_steps)):
+        if segment:
+            q = e_step(fp, gate, experts, ds.labels).q
+            cfg = replace(plan.sgd_gate, seed=derive_seed(plan.seed, "gate", "segment", segment))
+            gate = fit_gate(fp.prelogits, q, cfg, start=gate)
+        weights = smooth_weights(q, plan.gamma)
+        trained = [None] * plan.num_experts
+        for k in order:
+            seed = derive_seed(plan.seed, "expert", k, "segment", segment)
+            cfg = replace(plan.sgd_expert, epochs=epochs, seed=seed)
+            trained[k] = train_expert(k, base, weights[:, k], ds, cfg, plan.negative_handling, start=experts[k])
+        experts = trained
+    ensemblers = [None] * plan.num_experts
+    for k in order:
+        cfg = replace(plan.sgd_ensembler, seed=derive_seed(plan.seed, "ensembler", k))
+        ensemblers[k] = train_ensembler(plan.ensembler, base, experts[k], ds, weights[:, k], cfg)
+    return MoEModel(
+        base=base, gate=gate, experts=experts, ensemblers=ensemblers,
+        shared_prefix=plan.tap_index + 1, centroids=centroids, temperature=init.temperature,
+    )

@@ -17,12 +17,12 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import blob_dataset, random_model
+from conftest import blob_dataset, random_model, staged_recipe
 from test_nn import max_grad_rel_error, sample_safe_case
 
 from moe_forge.analysis import oracle_per_class_eval
 from moe_forge.anytime import AnytimeConfig, anytime_predict, ilp_exit_assignment, sweep_thresholds
-from moe_forge.cli import main
+from moe_forge.cli import _load_data_block, _plan_from_config, main
 from moe_forge.data import LabeledDataset, SyntheticSpec, generate_synthetic, split
 from moe_forge.gate_init import smooth_weights
 from moe_forge.model import ExecutionTrace, mac_count, save_model
@@ -32,8 +32,6 @@ from moe_forge.training import (
     e_step,
     elbo,
     m_step,
-    run_algorithm1,
-    run_em,
     run_pipeline,
 )
 
@@ -367,20 +365,20 @@ def test_em_with_zero_sync_steps_matches_async_and_elbo_never_decreases(tmp_path
         sgd_expert=SgdConfig(learning_rate=0.05, momentum=0.0, batch_size=len(ds), epochs=8),
     )
 
-    em_model = run_em(ds, plan)
-    async_model = run_algorithm1(ds, plan)
-    save_model(tmp_path / "em.json", em_model)
-    save_model(tmp_path / "async.json", async_model)
+    # The pipeline with zero E steps against the asynchronous recipe called stage by stage.
+    result = run_pipeline(ds, plan)
+    save_model(tmp_path / "em.json", result.model)
+    save_model(tmp_path / "async.json", staged_recipe(ds, plan))
     identical = (tmp_path / "em.json").read_bytes() == (tmp_path / "async.json").read_bytes()
 
-    model = em_model
-    posterior = e_step(model, ds)
-    trace = [elbo(model, posterior, ds)]
+    fp, gate, experts = result.base_pass, result.model.gate, result.model.experts
+    posterior = e_step(fp, gate, experts, ds.labels)
+    trace = [elbo(fp, gate, experts, posterior, ds.labels)]
     for step in range(1, 5):
-        model = m_step(model, posterior, ds, epochs=3, plan=plan, segment=step)
-        trace.append(elbo(model, posterior, ds))
-        posterior = e_step(model, ds)
-        trace.append(elbo(model, posterior, ds))
+        gate, experts = m_step(fp, gate, experts, posterior, ds, epochs=3, plan=plan, segment=step)
+        trace.append(elbo(fp, gate, experts, posterior, ds.labels))
+        posterior = e_step(fp, gate, experts, ds.labels)
+        trace.append(elbo(fp, gate, experts, posterior, ds.labels))
     deltas = np.diff(trace)
     monotone = bool((deltas >= -1e-6).all())
     elapsed = time.perf_counter() - start
@@ -426,34 +424,43 @@ def test_mac_counts_match_hand_fixtures_and_never_grow_with_threshold():
             f"sweep non-increasing on {len(models)} models", elapsed, 10.0)
 
 
-def test_training_runs_are_byte_identical_across_reruns_and_worker_counts(tmp_path):
+def test_training_runs_are_byte_identical_across_reruns_and_expert_order(tmp_path):
     start = time.perf_counter()
 
-    def run(name: str, workers: int) -> dict[str, bytes]:
-        out = tmp_path / name
-        config = {
+    def config(name: str) -> dict:
+        return {
             "seed": 9,
-            "output_dir": str(out),
-            "workers": workers,
+            "output_dir": str(tmp_path / name),
             "data": {"synthetic": {"num_classes": 3, "modes_per_class": 2, "dim": 6,
                                    "mode_stddev": 0.9, "samples_per_mode": 70, "seed": 21}},
             "model": {"layer_dims": [6, 10, 3], "num_experts": 3, "ensembler": "stacking"},
             "train": {"em_steps": 1, "expert_epochs": 6, "sgd_base": {"epochs": 10}},
         }
+
+    def run(name: str) -> dict[str, bytes]:
+        out = tmp_path / name
         cfg_path = tmp_path / f"{name}.json"
-        cfg_path.write_text(json.dumps(config, indent=2))
+        cfg_path.write_text(json.dumps(config(name), indent=2))
         assert main(["train", str(cfg_path)]) == 0
         # manifest holds wall-clock stage timings, everything else must match
         return {str(p.relative_to(out)): p.read_bytes()
                 for p in sorted(out.rglob("*"))
                 if p.is_file() and p.name != "manifest.json"}
 
-    first = run("first", workers=1)
-    again = run("again", workers=1)
-    parallel = run("parallel", workers=4)
-    assert set(first) == set(again) == set(parallel)
-    identical = first == again and first == parallel
+    first = run("first")
+    again = run("again")
+    assert set(first) == set(again)
+    reruns = first == again
+
+    # Every expert and ensembler trained alone, one call each with its derived seed, in
+    # reverse order: the model file holds each expert k byte for byte as the CLI wrote it.
+    plan = _plan_from_config(config("alone"))
+    ds = _load_data_block(config("alone")["data"], "data", tmp_path)[0]
+    model = staged_recipe(ds, plan, order=reversed(range(plan.num_experts)))
+    save_model(tmp_path / "alone.json", model)
+    alone = (tmp_path / "alone.json").read_bytes() == first["model.json"]
     elapsed = time.perf_counter() - start
-    _report("determinism", identical,
-            f"{len(first)} artifacts byte-identical across reruns and 1 vs 4 workers",
+    _report("determinism", reruns and alone,
+            f"{len(first)} artifacts byte-identical across reruns: {reruns}; "
+            f"experts trained alone in reverse order give the same model.json: {alone}",
             elapsed, 600.0)

@@ -15,7 +15,6 @@ from moe_forge.anytime import (
     anytime_predict,
     anytime_scores,
     convex_envelope,
-    gate_confidence_exit,
     ilp_exit_assignment,
     select_threshold,
     sweep_thresholds,
@@ -112,7 +111,9 @@ class TestThresholdRule:
         out = anytime_predict(model, x, AnytimeConfig(tau=0.0))
         assert not out.exited
         assert out.executed_experts == (0, 1, 2)
-        np.testing.assert_allclose(out.probs, model.soft_mixture(x), atol=1e-12)
+        ev = evaluate_dataset(model, x[None, :])
+        mixture = sum(ev.gate_probs[0, k] * model.ensemble_output(k, x) for k in range(3))
+        np.testing.assert_allclose(out.probs, mixture, atol=1e-12)
 
     def test_renormalization_never_moves_the_argmax(self, rng):
         model = random_model(rng)
@@ -150,10 +151,11 @@ class TestOtherPolicies:
 
     def test_gate_confidence_exits_when_the_gate_is_unsure(self):
         model = fixed_output_model(gate_probs=(0.7, 0.3))
-        unsure = gate_confidence_exit(model, np.zeros(4), tau=0.8)
+        policy = lambda tau: AnytimeConfig(tau=tau, policy="gate_confidence")
+        unsure = anytime_predict(model, np.zeros(4), policy(0.8))
         assert unsure.exited
         assert unsure.macs == model.cost.macs_base + model.cost.macs_gate
-        sure = gate_confidence_exit(model, np.zeros(4), tau=0.6)
+        sure = anytime_predict(model, np.zeros(4), policy(0.6))
         assert not sure.exited
         assert sure.executed_experts == (0,)
 

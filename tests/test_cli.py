@@ -1,7 +1,6 @@
 """End-to-end command-line workflows driven through main()."""
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,7 @@ import pytest
 import moe_forge.cli as cli
 from moe_forge.analysis import gate_disagreement
 from moe_forge.anytime import CURVE_HEADER
-from moe_forge.cli import WORKERS_ENV, _plan_from_config, _save_trained_model, _top1_metrics, main
+from moe_forge.cli import _plan_from_config, _save_trained_model, _top1_metrics, main
 from moe_forge.data import LabeledDataset, generate_synthetic, save_csv
 from moe_forge.errors import ConfigError
 from moe_forge.gate_init import initial_gate
@@ -115,11 +114,24 @@ class TestTrain:
         main(["train", str(config)])
         stage = tmp_path / "run" / "stages" / "gate.json"
         doc = json.loads(stage.read_text())
-        del doc["payload"]["weight"]
+        del doc["payload"]["gate"]["weight"]
         stage.write_text(json.dumps(doc))
         capsys.readouterr()
         assert main(["train", str(config)]) == 2
-        assert capsys.readouterr().err == f"error: stage checkpoint {stage}: missing key 'weight'\n"
+        assert capsys.readouterr().err == f"error: stage checkpoint {stage}: missing key 'gate.weight'\n"
+
+    def test_a_version_1_stage_file_is_a_usage_error(self, tmp_path, capsys):
+        config = make_config(tmp_path)
+        main(["train", str(config)])
+        stage = tmp_path / "run" / "stages" / "ensemblers.json"
+        doc = json.loads(stage.read_text())
+        doc["format_version"] = 1
+        stage.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["train", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: stage checkpoint {stage}: unsupported format_version 1 (expected 2)\n"
+        )
 
     def test_single_expert_run_is_tagged_as_the_ensembling_baseline(self, tmp_path):
         config = make_config(
@@ -437,25 +449,17 @@ class TestConfigErrors:
         assert main(["train", str(config)]) == 2
         assert "exactly one" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", [0, 2, 4, "1", 1.0, True])
+    def test_workers_other_than_one_exits_2_naming_the_key(self, tmp_path, capsys, workers):
+        config = make_config(tmp_path, workers=workers)
+        assert main(["train", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: workers: ") and repr(workers) in err
+        assert not (tmp_path / "run").exists()
 
-class TestWorkerConfig:
-    def config_doc(self, tmp_path) -> dict:
-        return json.loads(make_config(tmp_path).read_text())
-
-    def test_environment_sets_the_default_worker_count(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "4")
-        plan = _plan_from_config(self.config_doc(tmp_path))
-        assert plan.workers == 4
-
-    def test_explicit_config_key_beats_the_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "4")
-        doc = self.config_doc(tmp_path)
-        doc["workers"] = 2
-        assert _plan_from_config(doc).workers == 2
-
-    def test_default_is_serial(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
-        assert _plan_from_config(self.config_doc(tmp_path)).workers == 1
+    def test_workers_one_trains_as_without_the_key(self, tmp_path):
+        plain = _plan_from_config(json.loads(make_config(tmp_path).read_text()))
+        assert _plan_from_config(json.loads(make_config(tmp_path, workers=1).read_text())) == plain
 
 
 class TestMalformedCheckpoints:

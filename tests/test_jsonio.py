@@ -122,15 +122,31 @@ class TestSaveJson:
         path = tmp_path / "model.json"
         save_json(path, {"version": 1})
         before = path.read_bytes()
-        real_write_text = Path.write_text
+        real_open = Path.open
 
-        def write_half_then_fail(self, text, *args, **kwargs):
-            real_write_text(self, text[: len(text) // 2], *args, **kwargs)
-            raise OSError("disk full")
+        class FailAfterFirstWrite:
+            """The file save_json opens, except that its second write raises."""
 
-        monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+            def __init__(self, file):
+                self.file, self.writes = file, 0
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.file.close()
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 1:
+                    raise OSError("disk full")
+                return self.file.write(text)
+
+        monkeypatch.setattr(jsonio, "_WRITE_SLICE", 16)  # the document takes many slices
+        monkeypatch.setattr(Path, "open", lambda self, *a, **kw: FailAfterFirstWrite(real_open(self, *a, **kw)))
         with pytest.raises(OSError, match="disk full"):
             save_json(path, {"version": 2, "weights": np.ones(100)})
+        monkeypatch.undo()
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
 
@@ -141,6 +157,15 @@ class TestSaveJson:
             save_json(path, {"weights": np.array([np.nan])})
         assert load_json(path) == {"version": 1}
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.json"]
+
+
+    def test_text_longer_than_a_slice_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        doc = {"weights": np.linspace(-1.0, 1.0, 50), "name": "x" * 40}
+        save_json(tmp_path / "one.json", doc)
+        monkeypatch.setattr(jsonio, "_WRITE_SLICE", 7)
+        save_json(tmp_path / "many.json", doc)
+        assert (tmp_path / "many.json").read_bytes() == (tmp_path / "one.json").read_bytes()
+        assert (tmp_path / "many.json").read_text() == dumps(doc) + "\n"
 
 
 class TestFragment:

@@ -20,7 +20,7 @@ from moe_forge.model import (
     save_model,
     slot_macs,
 )
-from moe_forge.nn import init_network, softmax
+from moe_forge.nn import forward_batch, init_network, softmax
 
 from conftest import random_model, random_network
 
@@ -164,13 +164,16 @@ class TestMacAccounting:
 
 class TestModelOutputs:
     def test_soft_mixture_matches_brute_force_sum(self, rng):
+        # The full gate-weighted mixture is what a sweep mixes at tau=0.
         model = random_model(rng, num_experts=3)
-        x = rng.normal(size=4)
-        ev = evaluate_dataset(model, x[None, :])
-        expected = np.zeros(3)
-        for k in range(3):
-            expected += ev.gate_probs[0, k] * model.ensemble_output(k, x)
-        np.testing.assert_allclose(model.soft_mixture(x), expected, atol=1e-12)
+        x = rng.normal(size=(5, 4))
+        ev = evaluate_dataset(model, x)
+        mixture = np.einsum("nk,knc->nc", ev.gate_probs, ev.combined)
+        for i in range(len(x)):
+            expected = np.zeros(3)
+            for k in range(3):
+                expected += ev.gate_probs[i, k] * model.ensemble_output(k, x[i])
+            np.testing.assert_allclose(mixture[i], expected, atol=1e-12)
 
     def test_ensemble_output_is_a_distribution(self, rng):
         for kind in ("none", "bagging", "stacking", "top2"):
@@ -213,7 +216,8 @@ class TestModelOutputs:
 
     def test_gate_distribution_shape(self, rng):
         model = random_model(rng)
-        probs = model.gate_distribution(rng.normal(size=4))
+        prelogits = forward_batch(model.base, rng.normal(size=(2, 4))).prelogits
+        probs = model.gate.distribution_batch(prelogits)[0]
         assert probs.shape == (3,)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
 

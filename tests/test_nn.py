@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from moe_forge import jsonio
 from moe_forge.errors import DataError, ShapeError
 from moe_forge.nn import (
     Layer,
@@ -15,14 +16,15 @@ from moe_forge.nn import (
     forward,
     forward_batch,
     init_network,
-    load_network,
+    learning_rate,
     network_from_doc,
     network_to_doc,
-    save_network,
+    nll_batch,
+    one_hot,
     sgd_train,
     softmax,
-    weighted_nll,
 )
+from moe_forge.training import mean_kl
 
 from conftest import blob_dataset, random_network
 
@@ -125,29 +127,39 @@ class TestNetworkValidation:
             Network(layers=[Layer(np.zeros((2, 2)), np.zeros(2), "identity")], tap_index=1)
 
 
+def nll_one(probs: np.ndarray, label: int, weight: float) -> float:
+    """nll_batch on a batch of one sample."""
+    return nll_batch(probs[None, :], np.array([label]), np.array([weight]))
+
+
 class TestLoss:
     def test_weighted_nll_arithmetic(self):
         probs = np.array([0.1, 0.8, 0.1])
-        assert weighted_nll(probs, 1, 0.5) == pytest.approx(-0.5 * math.log(0.8), abs=1e-15)
+        assert nll_one(probs, 1, 0.5) == pytest.approx(-0.5 * math.log(0.8), abs=1e-15)
+        batch = np.array([[0.1, 0.8, 0.1], [0.5, 0.25, 0.25]])
+        mean = (-0.5 * math.log(0.8) - 2.0 * math.log(0.25)) / 2
+        assert nll_batch(batch, np.array([1, 2]), np.array([0.5, 2.0])) == pytest.approx(mean, abs=1e-15)
 
     def test_uniform_probability_gives_log_num_classes(self):
         probs = np.full(4, 0.25)
-        assert weighted_nll(probs, 2, 1.0) == pytest.approx(math.log(4.0), abs=1e-15)
+        assert nll_one(probs, 2, 1.0) == pytest.approx(math.log(4.0), abs=1e-15)
 
     def test_zero_probability_is_clamped_not_infinite(self):
-        loss = weighted_nll(np.array([1.0, 0.0]), 1, 1.0)
+        loss = nll_one(np.array([1.0, 0.0]), 1, 1.0)
         assert loss == pytest.approx(-math.log(1e-12))
 
     def test_zero_weight_means_zero_loss(self):
-        assert weighted_nll(np.array([0.5, 0.5]), 0, 0.0) == 0.0
+        assert nll_one(np.array([0.5, 0.5]), 0, 0.0) == 0.0
 
     def test_label_out_of_range(self):
         with pytest.raises(ShapeError):
-            weighted_nll(np.array([1.0, 0.0]), 2, 1.0)
+            one_hot(np.array([0, 2]), 2)
+        with pytest.raises(ShapeError):
+            one_hot(np.array([-1]), 2)
 
 
-def finite_difference_grads(net, x, labels, weights, h=1e-5):
-    """Central differences on every parameter of the mean weighted NLL."""
+def finite_difference_grads(net, x, labels, weights, loss=dataset_loss, h=1e-5):
+    """Central differences on every parameter of ``loss(net, x, labels, weights)``."""
     grads = []
     for layer in net.layers:
         for param in (layer.weight, layer.bias):
@@ -156,18 +168,23 @@ def finite_difference_grads(net, x, labels, weights, h=1e-5):
             for j in range(flat.size):
                 orig = flat[j]
                 flat[j] = orig + h
-                up = dataset_loss(net, x, labels, weights)
+                up = loss(net, x, labels, weights)
                 flat[j] = orig - h
-                down = dataset_loss(net, x, labels, weights)
+                down = loss(net, x, labels, weights)
                 flat[j] = orig
                 grad.reshape(-1)[j] = (up - down) / (2 * h)
             grads.append(grad)
     return grads
 
 
-def max_grad_rel_error(net, x, labels, weights) -> float:
-    analytic = backward(net, x, labels, weights)
-    numeric = finite_difference_grads(net, x, labels, weights)
+def max_grad_rel_error(net, x, labels, weights, loss=dataset_loss) -> float:
+    """Worst relative gap between backward and central differences of ``loss``.
+
+    ``labels`` are class labels, or target rows when ``loss`` takes rows.
+    """
+    targets = one_hot(labels, net.output_dim) if np.ndim(labels) == 1 else labels
+    analytic = backward(net, x, targets, weights)
+    numeric = finite_difference_grads(net, x, labels, weights, loss)
     flat_analytic = [g for pair in analytic for g in pair]
     worst = 0.0
     for a, f in zip(flat_analytic, numeric):
@@ -210,6 +227,33 @@ class TestBackward:
             assert max_grad_rel_error(*case) <= 1e-4
             checked += 1
 
+    def test_soft_target_rows_match_finite_differences_of_the_mean_kl(self):
+        # Against a distribution the cross-entropy is the KL plus the target's entropy,
+        # a constant, so backward on target rows is the gradient of mean_kl.
+        kl = lambda net, x, targets, weights: mean_kl(targets, forward_batch(net, x).probs)
+        checked = 0
+        seed = 0
+        while checked < 10:
+            case = sample_safe_case(seed)
+            seed += 1
+            if case is None:
+                continue
+            net, x, labels, _ = case
+            rng = np.random.default_rng(seed)
+            targets = rng.dirichlet(np.ones(net.output_dim), size=len(x))
+            targets[0, 0] = 0.0  # a zero entry, where the KL's 0 log 0 convention applies
+            targets[0] /= targets[0].sum()
+            assert max_grad_rel_error(net, x, targets, np.ones(len(x)), loss=kl) <= 1e-4
+            checked += 1
+
+    def test_one_hot_puts_a_one_at_each_label(self, rng):
+        net = random_network(rng, [3, 5, 4])
+        x = rng.normal(size=(6, 3))
+        labels = rng.integers(0, 4, size=6)
+        rows = one_hot(labels, 4)
+        assert rows.shape == (6, 4) and np.array_equal(rows.argmax(axis=1), labels)
+        assert np.array_equal(rows.sum(axis=1), np.ones(6))
+
     def test_single_linear_layer_closed_form(self):
         # For softmax regression the gradient is weight * (probs - onehot) x^T.
         net = Network(
@@ -220,7 +264,7 @@ class TestBackward:
         label, weight = 0, 0.7
         probs = forward_batch(net, x).probs[0]
         expected_delta = weight * (probs - np.array([1.0, 0.0]))
-        (gw, gb), = backward(net, x, np.array([label]), np.array([weight]))
+        (gw, gb), = backward(net, x, one_hot(np.array([label]), 2), np.array([weight]))
         np.testing.assert_allclose(gw, np.outer(expected_delta, x[0]), atol=1e-14)
         np.testing.assert_allclose(gb, expected_delta, atol=1e-14)
 
@@ -229,8 +273,9 @@ class TestBackward:
         x = rng.normal(size=(4, 3))
         labels = rng.integers(0, 2, size=4)
         weights = rng.uniform(0.5, 1.5, size=4)
-        full = backward(net, x, labels, weights)
-        per_sample = [backward(net, x[i : i + 1], labels[i : i + 1], weights[i : i + 1]) for i in range(4)]
+        rows = one_hot(labels, 2)
+        full = backward(net, x, rows, weights)
+        per_sample = [backward(net, x[i : i + 1], rows[i : i + 1], weights[i : i + 1]) for i in range(4)]
         for layer_idx in range(len(net.layers)):
             for part in range(2):
                 mean = sum(p[layer_idx][part] for p in per_sample) / 4
@@ -239,7 +284,7 @@ class TestBackward:
     def test_empty_batch_rejected(self, rng):
         net = random_network(rng, [3, 4, 2])
         with pytest.raises(DataError):
-            backward(net, np.zeros((0, 3)), np.zeros(0, dtype=int), np.zeros(0))
+            backward(net, np.zeros((0, 3)), np.zeros((0, 2)), np.zeros(0))
 
 
 class TestSgdTrain:
@@ -270,21 +315,26 @@ class TestSgdTrain:
             np.testing.assert_array_equal(la.weight, lb.weight)
             np.testing.assert_array_equal(la.bias, lb.bias)
 
-    def test_frozen_prefix_layers_stay_bit_identical(self, rng):
-        net = random_network(rng, [4, 6, 3], tap_index=0)
+    def test_labels_and_their_one_hot_rows_train_the_same_bits(self, rng):
+        net = random_network(rng, [4, 6, 3])
         ds = blob_dataset(num_classes=3, dim=4)
-        out = sgd_train(
-            net, ds.features, ds.labels, np.ones(len(ds)), SgdConfig(epochs=3, seed=2), frozen_prefix=1
-        )
-        np.testing.assert_array_equal(out.layers[0].weight, net.layers[0].weight)
-        np.testing.assert_array_equal(out.layers[0].bias, net.layers[0].bias)
-        assert not np.array_equal(out.layers[1].weight, net.layers[1].weight)
+        weights = rng.uniform(0.1, 1.0, size=len(ds))
+        cfg = SgdConfig(epochs=3, seed=2, batch_size=16)
+        a = sgd_train(net, ds.features, ds.labels, weights, cfg)
+        b = sgd_train(net, ds.features, one_hot(ds.labels, 3), weights, cfg)
+        for la, lb in zip(a.layers, b.layers):
+            assert np.array_equal(la.weight, lb.weight) and np.array_equal(la.bias, lb.bias)
 
-    def test_frozen_prefix_beyond_tap_rejected(self, rng):
-        net = random_network(rng, [4, 6, 3], tap_index=0)
+    def test_misaligned_targets_or_labels_out_of_range_rejected(self, rng):
+        net = random_network(rng, [4, 6, 3])
         ds = blob_dataset(num_classes=3, dim=4)
-        with pytest.raises(ValueError):
-            sgd_train(net, ds.features, ds.labels, np.ones(len(ds)), SgdConfig(epochs=1), frozen_prefix=2)
+        ones = np.ones(len(ds))
+        with pytest.raises(ShapeError):
+            sgd_train(net, ds.features, ds.labels[1:], ones, SgdConfig(epochs=1))
+        with pytest.raises(ShapeError):
+            sgd_train(net, ds.features, np.ones((len(ds), 4)) / 4, ones, SgdConfig(epochs=1))
+        with pytest.raises(ShapeError):
+            sgd_train(net, ds.features, ds.labels + 1, ones, SgdConfig(epochs=1))
 
     def test_learns_separable_blobs(self):
         ds = blob_dataset(seed=3, num_classes=3, dim=4, stddev=0.4, samples_per_mode=80)
@@ -294,14 +344,12 @@ class TestSgdTrain:
         accuracy = (forward_batch(trained, ds.features).probs.argmax(axis=1) == ds.labels).mean()
         assert accuracy >= 0.99
 
-    def test_learning_rate_decay_schedule(self, rng):
-        from moe_forge.nn import SgdStepper
-
-        net = random_network(rng, [2, 3, 2])
-        stepper = SgdStepper(net, SgdConfig(learning_rate=0.1, lr_decay_epochs=(2, 4), lr_decay_factor=5.0))
-        assert stepper.learning_rate(0) == pytest.approx(0.1)
-        assert stepper.learning_rate(2) == pytest.approx(0.02)
-        assert stepper.learning_rate(4) == pytest.approx(0.004)
+    def test_learning_rate_decay_schedule(self):
+        cfg = SgdConfig(learning_rate=0.1, lr_decay_epochs=(2, 4), lr_decay_factor=5.0)
+        assert learning_rate(cfg, 0) == pytest.approx(0.1)
+        assert learning_rate(cfg, 1) == pytest.approx(0.1)
+        assert learning_rate(cfg, 2) == pytest.approx(0.02)
+        assert learning_rate(cfg, 4) == pytest.approx(0.004)
 
     def test_empty_dataset_rejected(self, rng):
         net = random_network(rng, [3, 4, 2])
@@ -340,8 +388,8 @@ class TestCheckpoint:
     def test_round_trip_is_bit_exact(self, rng, tmp_path):
         net = random_network(rng, [4, 7, 3], tap_index=1)
         path = tmp_path / "net.json"
-        save_network(path, net)
-        loaded = load_network(path)
+        jsonio.save_json(path, network_to_doc(net))
+        loaded = network_from_doc(jsonio.load_json(path))
         assert loaded.tap_index == net.tap_index
         for la, lb in zip(net.layers, loaded.layers):
             np.testing.assert_array_equal(la.weight, lb.weight)
@@ -350,8 +398,8 @@ class TestCheckpoint:
 
     def test_serialization_is_byte_deterministic(self, rng, tmp_path):
         net = random_network(rng, [4, 7, 3])
-        save_network(tmp_path / "a.json", net)
-        save_network(tmp_path / "b.json", net)
+        jsonio.save_json(tmp_path / "a.json", network_to_doc(net))
+        jsonio.save_json(tmp_path / "b.json", network_to_doc(net))
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
 
     def test_unsupported_version_rejected(self, rng):
@@ -367,7 +415,7 @@ class TestCheckpoint:
             layers=[Layer(np.array([[1.0 / 3.0]]), np.array([0.1]), "identity")],
             tap_index=0,
         )
-        save_network(tmp_path / "net.json", net)
+        jsonio.save_json(tmp_path / "net.json", network_to_doc(net))
         text = (tmp_path / "net.json").read_text()
         assert "0.33333333333333331" in text
         assert "0.10000000000000001" in text

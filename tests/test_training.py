@@ -1,15 +1,17 @@
 """Gate fitting, expert training, the EM machinery, and the full pipeline."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from moe_forge.data import weighted_batches
 from moe_forge.errors import PipelineError, ShapeError
 from moe_forge.gate_init import initial_gate, kmeans
 from moe_forge.jsonio import dumps
-from moe_forge.model import Ensembler, Gate, MoEModel, model_to_doc
+from moe_forge.model import Ensembler, Gate, MoEModel, gate_to_doc, model_to_doc
 from moe_forge.seeding import derive_seed
 from moe_forge.nn import (
     Layer,
@@ -18,6 +20,8 @@ from moe_forge.nn import (
     dataset_loss,
     forward_batch,
     init_network,
+    network_to_doc,
+    sgd_train,
     softmax,
 )
 from moe_forge.training import (
@@ -27,12 +31,10 @@ from moe_forge.training import (
     e_step,
     elbo,
     expert_tail,
-    fit_linear_softmax,
+    fit_gate,
     m_step,
     mean_kl,
     plan_hash,
-    run_algorithm1,
-    run_em,
     run_pipeline,
     segment_lengths,
     train_base,
@@ -41,7 +43,7 @@ from moe_forge.training import (
     train_gate,
 )
 
-from conftest import blob_dataset, random_model
+from conftest import blob_dataset, random_model, staged_recipe
 
 
 def small_plan(**overrides) -> TrainPlan:
@@ -81,19 +83,84 @@ class TestMeanKl:
         assert mean_kl(t, p) >= 0.0
 
 
+def old_fit_linear_softmax(inputs, targets, cfg, start=None):
+    """The gate fit's own momentum-SGD loop, as it was before the gate went through sgd_train."""
+    n, p = inputs.shape
+    rows = targets.shape[1]
+    gate = start.copy() if start is not None else Gate(np.zeros((rows, p)), np.zeros(rows))
+    vel_w = np.zeros_like(gate.weight)
+    vel_b = np.zeros_like(gate.bias)
+    rng = np.random.default_rng(cfg.seed)
+    for epoch in range(cfg.epochs):
+        decays = sum(1 for e in cfg.lr_decay_epochs if epoch >= e)
+        lr = cfg.learning_rate / (cfg.lr_decay_factor**decays)
+        perm = rng.permutation(n)
+        for startx in range(0, n, cfg.batch_size):
+            idx = perm[startx : startx + cfg.batch_size]
+            x = inputs[idx]
+            probs = softmax(x @ gate.weight.T + gate.bias)
+            delta = (probs - targets[idx]) * np.ones(n)[idx, None] / len(idx)
+            vel_w = cfg.momentum * vel_w + delta.T @ x
+            vel_b = cfg.momentum * vel_b + delta.sum(axis=0)
+            gate.weight -= lr * vel_w
+            gate.bias -= lr * vel_b
+    return gate
+
+
+def old_sgd_train_sampled(net, features, labels, ds, sample_weights, cfg):
+    """The weighted-sampling training loop, as it was before it became an sgd_train batch source."""
+    out = net.copy()
+    velocity = [(np.zeros_like(l.weight), np.zeros_like(l.bias)) for l in out.layers]
+    stream = weighted_batches(ds, sample_weights, cfg.batch_size, seed=cfg.seed)
+    for epoch in range(cfg.epochs):
+        decays = sum(1 for e in cfg.lr_decay_epochs if epoch >= e)
+        lr = cfg.learning_rate / (cfg.lr_decay_factor**decays)
+        for _ in range(math.ceil(len(ds) / cfg.batch_size)):
+            idx = next(stream)
+            # backward with label indices and unit loss weights, as it was
+            x, batch_labels, weights = features[idx], labels[idx], np.ones(cfg.batch_size)
+            acts, pre, a = [x], [], x
+            for layer in out.layers:
+                z = a @ layer.weight.T + layer.bias
+                pre.append(z)
+                a = np.maximum(z, 0.0) if layer.activation == "relu" else z
+                acts.append(a)
+            probs = softmax(acts[-1])
+            onehot = np.zeros_like(probs)
+            onehot[np.arange(len(idx)), batch_labels] = 1.0
+            delta = (probs - onehot) * weights[:, None] / len(idx)
+            grads = [None] * len(out.layers)
+            for i in range(len(out.layers) - 1, -1, -1):
+                grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
+                if i > 0:
+                    delta = delta @ out.layers[i].weight
+                    if out.layers[i - 1].activation == "relu":
+                        delta = delta * (pre[i - 1] > 0)
+            for layer, (vw, vb), (gw, gb) in zip(out.layers, velocity, grads):
+                vw *= cfg.momentum
+                vw += gw
+                vb *= cfg.momentum
+                vb += gb
+                layer.weight -= lr * vw
+                layer.bias -= lr * vb
+    return out
+
+
 class TestFitLinearSoftmax:
+    """The gate fit: a one-layer linear network trained by sgd_train on target rows."""
+
     def test_recovers_a_realizable_target_map(self, rng):
         true = Gate(weight=rng.normal(size=(3, 5)), bias=rng.normal(size=3))
         x = rng.normal(size=(200, 5))
         targets = true.distribution_batch(x)
         cfg = SgdConfig(learning_rate=0.5, epochs=150, batch_size=64, seed=1)
-        fitted = fit_linear_softmax(x, targets, cfg)
+        fitted = fit_gate(x, targets, cfg)
         assert mean_kl(targets, fitted.distribution_batch(x)) < 1e-3
 
     def test_uniform_targets_leave_zero_parameters_untouched(self, rng):
         x = rng.normal(size=(50, 4))
         targets = np.full((50, 3), 1.0 / 3.0)
-        fitted = fit_linear_softmax(x, targets, SgdConfig(epochs=5, seed=0))
+        fitted = fit_gate(x, targets, SgdConfig(epochs=5, seed=0))
         np.testing.assert_array_equal(fitted.weight, np.zeros((3, 4)))
         np.testing.assert_array_equal(fitted.bias, np.zeros(3))
 
@@ -103,18 +170,41 @@ class TestFitLinearSoftmax:
         targets = np.vstack([np.tile([1.0, 0.0], (20, 1)), np.tile([0.0, 1.0], (20, 1))])
         weights = np.concatenate([np.ones(20), np.zeros(20)])
         cfg = SgdConfig(learning_rate=0.5, epochs=200, batch_size=8, seed=2)
-        fitted = fit_linear_softmax(x, targets, cfg, sample_weights=weights)
-        probs = fitted.distribution_batch(np.ones((1, 2)))
+        net = Network([Layer(np.zeros((2, 2)), np.zeros(2), "identity")], tap_index=0)
+        fitted = sgd_train(net, x, targets, weights, cfg).layers[0]
+        probs = Gate(fitted.weight, fitted.bias).distribution_batch(np.ones((1, 2)))
         assert probs[0, 0] > 0.99
 
     def test_warm_start_with_wrong_shape_rejected(self, rng):
         start = Gate(weight=np.zeros((2, 3)), bias=np.zeros(2))
         with pytest.raises(ShapeError):
-            fit_linear_softmax(rng.normal(size=(10, 5)), rng.dirichlet(np.ones(2), 10), SgdConfig(), start=start)
+            fit_gate(rng.normal(size=(10, 5)), rng.dirichlet(np.ones(2), 10), SgdConfig(), start=start)
+        start = Gate(weight=np.zeros((3, 5)), bias=np.zeros(3))
+        with pytest.raises(ShapeError):
+            fit_gate(rng.normal(size=(10, 5)), rng.dirichlet(np.ones(2), 10), SgdConfig(), start=start)
 
     def test_misaligned_targets_rejected(self, rng):
         with pytest.raises(ShapeError):
-            fit_linear_softmax(rng.normal(size=(10, 5)), rng.dirichlet(np.ones(2), 9), SgdConfig())
+            fit_gate(rng.normal(size=(10, 5)), rng.dirichlet(np.ones(2), 9), SgdConfig())
+
+    @pytest.mark.parametrize(
+        "n, dim, rows, warm, seed",
+        [(71, 2, 3, False, 0), (650, 26, 7, False, 1), (300, 13, 5, True, 2),
+         (129, 8, 4, True, 3), (512, 20, 6, False, 4), (97, 5, 3, True, 5)],
+    )
+    def test_equals_the_old_fit_loop_bit_for_bit(self, n, dim, rows, warm, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(n, dim))
+        targets = rng.dirichlet(np.ones(rows), size=n)
+        start = Gate(rng.normal(size=(rows, dim)), rng.normal(size=rows)) if warm else None
+        before = start.copy() if warm else None
+        cfg = SgdConfig(learning_rate=0.5, momentum=0.9, batch_size=64, epochs=6,
+                        lr_decay_epochs=(2, 4), lr_decay_factor=5.0, seed=seed)
+        got = fit_gate(x, targets, cfg, start)
+        want = old_fit_linear_softmax(x, targets, cfg, start)
+        assert np.array_equal(got.weight, want.weight) and np.array_equal(got.bias, want.bias)
+        if warm:  # the start is copied, not trained in place
+            assert np.array_equal(start.weight, before.weight) and np.array_equal(start.bias, before.bias)
 
 
 class TestTrainGate:
@@ -213,6 +303,17 @@ class TestTrainExpert:
         second = train_expert(0, self.base, w, self.ds, SgdConfig(epochs=2, seed=5), start=first)
         assert not np.array_equal(first.layers[-1].weight, second.layers[-1].weight)
 
+    @pytest.mark.parametrize("net_dims", [[6, 3], [6, 5, 3]], ids=["linear", "relu"])
+    def test_sampled_training_equals_the_old_sampling_loop_bit_for_bit(self, rng, net_dims):
+        w = np.where(self.ds.labels == 1, 1.0, 0.05)
+        cfg = SgdConfig(learning_rate=0.1, momentum=0.9, batch_size=32, epochs=5,
+                        lr_decay_epochs=(3,), seed=6)
+        start = init_network(net_dims, tap_index=0, seed=8)
+        got = train_expert(0, self.base, w, self.ds, cfg, negative_handling="sample", start=start)
+        want = old_sgd_train_sampled(start, self.tap, self.ds.labels, self.ds, w, cfg)
+        for a, b in zip(got.layers, want.layers):
+            assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
+
 
 class TestTrainEnsembler:
     def test_parameter_free_kinds_need_no_training(self):
@@ -262,8 +363,8 @@ class TestEStep:
     def test_matches_brute_force_bayes_rule(self, rng):
         model = random_model(rng)
         ds = blob_dataset(seed=9, samples_per_mode=15)
-        post = e_step(model, ds)
         fp = forward_batch(model.base, ds.features)
+        post = e_step(fp, model.gate, model.experts, ds.labels)
         gate = model.gate.distribution_batch(fp.prelogits)
         for i in range(len(ds)):
             joint = np.array(
@@ -289,7 +390,7 @@ class TestEStep:
         from moe_forge.data import LabeledDataset
 
         ds = LabeledDataset(features=features, labels=labels, num_classes=c)
-        post = e_step(model, ds)
+        post = e_step(forward_batch(model.base, ds.features), model.gate, model.experts, ds.labels)
         np.testing.assert_allclose(post.q[:, 0], np.full(8, 10.0 / 13.0), atol=1e-10)
         np.testing.assert_allclose(post.q[:, 1:], np.full((8, 3), 1.0 / 13.0), atol=1e-10)
 
@@ -303,7 +404,7 @@ class TestEStep:
         from moe_forge.data import LabeledDataset
 
         ds = LabeledDataset(features=features, labels=np.zeros(5, dtype=np.int64), num_classes=c)
-        post = e_step(model, ds)
+        post = e_step(forward_batch(model.base, ds.features), model.gate, model.experts, ds.labels)
         assert post.zero_mass_rows == 5
         np.testing.assert_array_equal(post.q, np.full((5, 2), 0.5))
 
@@ -315,29 +416,38 @@ class TestMStep:
         result = run_pipeline(ds, plan)
         q = np.zeros((len(ds), 2))
         q[:, 0] = 1.0
-        updated = m_step(result.model, Posterior(q=q), ds, epochs=2, plan=plan)
-        fp = forward_batch(updated.base, ds.features)
-        routed = updated.gate.distribution_batch(fp.prelogits).argmax(axis=1)
+        model = result.model
+        gate, _ = m_step(result.base_pass, model.gate, model.experts, Posterior(q=q), ds, epochs=2, plan=plan)
+        routed = gate.distribution_batch(result.base_pass.prelogits).argmax(axis=1)
         assert (routed == 0).mean() >= 0.9
 
     def test_base_is_shared_not_retrained(self):
+        # m_step sees only the base's forward pass, and returns new parameters
+        # without touching the pass, the gate or the experts it was given.
         ds = blob_dataset(seed=21, samples_per_mode=20)
         plan = small_plan()
         result = run_pipeline(ds, plan)
-        post = e_step(result.model, ds)
-        updated = m_step(result.model, post, ds, epochs=1, plan=plan)
-        assert updated.base is result.model.base
-        assert updated.experts[0] is not result.model.experts[0]
+        model, fp = result.model, result.base_pass
+        before = dumps(model_to_doc(model))
+        tap, prelogits = fp.tap.copy(), fp.prelogits.copy()
+        post = e_step(fp, model.gate, model.experts, ds.labels)
+        gate, experts = m_step(fp, model.gate, model.experts, post, ds, epochs=1, plan=plan)
+        assert gate is not model.gate and experts[0] is not model.experts[0]
+        assert not np.array_equal(experts[0].layers[-1].weight, model.experts[0].layers[-1].weight)
+        assert dumps(model_to_doc(model)) == before
+        assert np.array_equal(fp.tap, tap) and np.array_equal(fp.prelogits, prelogits)
 
 
 class TestElbo:
     def test_posterior_from_e_step_maximizes_the_bound(self, rng):
         model = random_model(rng)
         ds = blob_dataset(seed=31, samples_per_mode=10)
-        best = elbo(model, e_step(model, ds), ds)
+        fp = forward_batch(model.base, ds.features)
+        parts = (fp, model.gate, model.experts)
+        best = elbo(*parts, e_step(*parts, ds.labels), ds.labels)
         for trial in range(5):
             q = rng.dirichlet(np.ones(model.num_experts), size=len(ds))
-            assert elbo(model, Posterior(q=q), ds) <= best + 1e-12
+            assert elbo(*parts, Posterior(q=q), ds.labels) <= best + 1e-12
 
     def test_bound_is_tight_at_the_posterior(self, rng):
         # With q set by the E step the bound equals the mean log evidence.
@@ -351,7 +461,8 @@ class TestElbo:
             probs = forward_batch(model.experts[k], fp.tap).probs
             evidence += gate[:, k] * probs[rows, ds.labels]
         expected = float(np.log(evidence).mean())
-        assert elbo(model, e_step(model, ds), ds) == pytest.approx(expected, abs=1e-9)
+        parts = (fp, model.gate, model.experts)
+        assert elbo(*parts, e_step(*parts, ds.labels), ds.labels) == pytest.approx(expected, abs=1e-9)
 
 
 class TestSegmentLengths:
@@ -369,10 +480,6 @@ class TestSegmentLengths:
 
 
 class TestHashes:
-    def test_worker_count_does_not_change_the_plan_hash(self):
-        plan = small_plan()
-        assert plan_hash(plan) == plan_hash(replace(plan, workers=8))
-
     def test_any_training_knob_changes_the_plan_hash(self):
         plan = small_plan()
         assert plan_hash(plan) != plan_hash(replace(plan, gamma=0.1))
@@ -403,8 +510,6 @@ class TestPlanValidation:
 
     def test_counts_must_be_positive(self):
         with pytest.raises(ValueError):
-            small_plan(workers=0).validate()
-        with pytest.raises(ValueError):
             small_plan(em_steps=-1).validate()
         with pytest.raises(ShapeError):
             small_plan(num_experts=0).validate()
@@ -417,12 +522,6 @@ class TestPipeline:
         a = run_pipeline(ds, plan).model
         b = run_pipeline(ds, plan).model
         assert dumps(model_to_doc(a)) == dumps(model_to_doc(b))
-
-    def test_worker_count_never_changes_the_result(self):
-        ds = blob_dataset(seed=42, samples_per_mode=25)
-        serial = run_pipeline(ds, small_plan(num_experts=3, workers=1)).model
-        parallel = run_pipeline(ds, small_plan(num_experts=3, workers=4)).model
-        assert dumps(model_to_doc(serial)) == dumps(model_to_doc(parallel))
 
     def test_stages_run_in_the_documented_order(self):
         ds = blob_dataset(seed=43, samples_per_mode=15)
@@ -443,11 +542,27 @@ class TestPipeline:
         assert dumps(model_to_doc(plain)) != dumps(model_to_doc(refined))
 
     def test_zero_refinement_steps_match_the_async_recipe_bit_for_bit(self):
+        # The asynchronous recipe, called stage by stage from the public training functions.
         ds = blob_dataset(seed=45, samples_per_mode=25)
-        plan = small_plan(em_steps=3)
-        via_async = run_algorithm1(ds, plan)
-        via_em = run_em(ds, replace(plan, em_steps=0))
-        assert dumps(model_to_doc(via_async)) == dumps(model_to_doc(via_em))
+        for plan in (small_plan(), small_plan(ensembler="stacking", negative_handling="sample")):
+            via_async = staged_recipe(ds, plan)
+            via_pipeline = run_pipeline(ds, replace(plan, em_steps=0)).model
+            assert dumps(model_to_doc(via_async)) == dumps(model_to_doc(via_pipeline))
+
+    def test_em_steps_are_the_e_step_m_step_loop(self):
+        # The experts stage runs exactly the tested EM functions, segment by segment.
+        ds = blob_dataset(seed=48, samples_per_mode=25)
+        plan = small_plan(em_steps=2, expert_epochs=6, ensembler="stacking")
+        result = run_pipeline(ds, plan)
+        first = run_pipeline(ds, replace(plan, em_steps=0, expert_epochs=2))
+        fp, gate, experts = first.base_pass, first.model.gate, first.model.experts
+        for step, epochs in enumerate(segment_lengths(6, 2)[1:], start=1):
+            posterior = e_step(fp, gate, experts, ds.labels)
+            gate, experts = m_step(fp, gate, experts, posterior, ds, epochs, plan, segment=step)
+        assert dumps(gate_to_doc(gate)) == dumps(gate_to_doc(result.model.gate))
+        assert [dumps(network_to_doc(e)) for e in experts] == [
+            dumps(network_to_doc(e)) for e in result.model.experts
+        ]
 
     def test_per_class_routing_produces_a_class_map(self):
         ds = blob_dataset(seed=46, samples_per_mode=20)
@@ -503,22 +618,31 @@ class TestPipelineCheckpoints:
         assert fresh.centroids.inertia_history == direct
         assert resumed.centroids.inertia_history == direct
 
-    def test_stage_file_without_inertia_history_restores_an_empty_one(self, tmp_path):
+    def test_a_version_1_stage_file_is_refused_by_name(self, tmp_path):
         ds = blob_dataset(seed=58, samples_per_mode=15)
-        first = run_pipeline(ds, small_plan(), tmp_path)
-        path = tmp_path / "stages" / "gate_init.json"
+        run_pipeline(ds, small_plan(), tmp_path)
+        path = tmp_path / "stages" / "gate.json"
         doc = json.loads(path.read_text())
-        del doc["payload"]["inertia_history"]
+        doc["format_version"] = 1
         path.write_text(json.dumps(doc))
-        again = run_pipeline(ds, small_plan(), tmp_path)
-        assert again.centroids.inertia_history == ()
-        np.testing.assert_array_equal(again.centroids.means, first.centroids.means)
+        with pytest.raises(PipelineError) as info:
+            run_pipeline(ds, small_plan(), tmp_path)
+        assert str(info.value) == f"stage checkpoint {path}: unsupported format_version 1 (expected 2)"
+
+    def test_stage_payloads_use_the_model_document_helpers(self, tmp_path):
+        ds = blob_dataset(seed=60, samples_per_mode=15)
+        result = run_pipeline(ds, small_plan(ensembler="stacking"), tmp_path)
+        payload = lambda name: json.loads((tmp_path / "stages" / f"{name}.json").read_text())["payload"]
+        model_doc = json.loads(dumps(model_to_doc(result.model)))
+        assert payload("experts")["gate"] == model_doc["gate"]
+        assert payload("ensemblers")["ensemblers"] == model_doc["ensemblers"]
+        assert payload("gate")["gate"]["rows"] == 2
 
     @pytest.mark.parametrize(
         "stage, corrupt, message",
         [
             ("base", lambda p: p["network"].pop("weights"), "missing key 'network.weights'"),
-            ("gate", lambda p: p.update(bias="0.5"), "key 'bias': expected a list, got a string"),
+            ("gate", lambda p: p["gate"].update(bias="0.5"), "key 'gate.bias': expected a list, got a string"),
             (
                 "experts",
                 lambda p: p["experts"][1]["weights"][0].pop(),
@@ -526,8 +650,15 @@ class TestPipelineCheckpoints:
             ),
             ("gate_init", lambda p: p.update(temperature=None), "key 'temperature': expected a number"),
             ("ensemblers", lambda p: p["ensemblers"].pop(), "key 'ensemblers': expected 2 entries"),
+            ("gate_init", lambda p: p.pop("inertia_history"), "missing key 'inertia_history'"),
+            (
+                "experts",
+                lambda p: p["gate"].update(rows=3, weight=p["gate"]["weight"] + [0.0] * 6, bias=[0.0] * 3),
+                "key 'gate': expected a [2, 6] gate, got [3, 6]",
+            ),
+            ("ensemblers", lambda p: p["ensemblers"][0].update(kind="stack"), "unknown ensembler kind 'stack'"),
         ],
-        ids=["base", "gate", "experts", "gate_init", "ensemblers"],
+        ids=["base", "gate", "experts", "gate_init", "ensemblers", "inertia_history", "gate_rows", "kind"],
     )
     def test_malformed_stage_file_names_the_file_and_the_key(self, tmp_path, stage, corrupt, message):
         ds = blob_dataset(seed=59, samples_per_mode=15)
