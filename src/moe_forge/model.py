@@ -1,9 +1,9 @@
 """The assembled mixture: base network, linear gate, expert tails, ensemblers.
 
 Experts consume the base network's tap output, so the layers up to the
-tap are computed once per sample and shared.  MAC accounting follows the
-same structure: the base is counted once and every executed expert adds
-only its tail.
+tap are computed once per sample and shared; tails of equal shapes share one
+weight stack per layer.  MAC accounting follows the same structure: the base
+is counted once and every executed expert adds only its tail.
 """
 
 from __future__ import annotations
@@ -29,6 +29,10 @@ from .nn import (
 )
 
 ENSEMBLER_KINDS = ("none", "bagging", "stacking", "top2")
+
+# Rows per block of a stacked tail pass: a [8, 256, 256] float64 hidden block is 4 MB.  No block
+# has 1 row unless N does: numpy runs that as a matrix-vector product, which rounds differently.
+_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -132,8 +136,11 @@ class MoEModel:
         self.validate()
         self.cost = make_cost_model(self)
         # Constants of every conditional-execution call (_slot_tails, slot_macs), built once.
-        self._top2 = np.array([ens.kind == "top2" for ens in self.ensemblers])
-        self._any_top2 = bool(self._top2.any())
+        kinds = np.array([ens.kind for ens in self.ensemblers])
+        self._kinds, self._top2 = set(kinds.tolist()), kinds == "top2"
+        self._bagging, self._none = (kinds == "bagging")[:, None, None], (kinds == "none")[:, None, None]
+        self._looped = ~(self._bagging | self._none)[:, 0, 0]
+        self._stacks = _stack_tails(self.experts)
         self._tail_macs = np.asarray(self.cost.macs_expert_tail)
         self._ensembler_macs = np.asarray(self.cost.macs_ensembler)
 
@@ -195,6 +202,39 @@ class MoEModel:
         ev = evaluate_dataset(self, np.asarray(x, dtype=np.float64)[None, :], select)
         chosen = int(ev.gate_probs[0, : self.num_experts].argmax())
         return ev.combined[chosen, 0], chosen
+
+
+def _stack(layers: list, attr: str) -> np.ndarray:
+    """[g, ...] stack of the layers' ``attr`` arrays, which become its slices, copied one at a
+    time so no second full copy is held; arrays that already are its slices keep their stack."""
+    owner = getattr(layers[0], attr).base
+    views = [getattr(l, attr).__array_interface__ for l in layers]
+    if owner is not None and views == [s.__array_interface__ for s in owner[: len(layers) + 1]]:
+        return owner
+    stack = np.empty((len(layers), *getattr(layers[0], attr).shape))
+    for g, layer in enumerate(layers):
+        stack[g] = getattr(layer, attr)
+        setattr(layer, attr, stack[g])
+    return stack
+
+
+def _stack_tails(experts: list[Network]) -> list[tuple]:
+    """Per group of experts with equal layer shapes and activations: their indices (a slice if
+    consecutive), layers as (weight [g, in, out], bias [g, 1, out], activation), and (expert,
+    its layers as slices of those) for each."""
+    groups: dict[tuple, list[int]] = {}
+    for j, e in enumerate(experts):
+        groups.setdefault(tuple((l.weight.shape, l.activation) for l in e.layers), []).append(j)
+    stacks = []
+    for members in groups.values():
+        stack = [
+            (_stack(same, "weight").transpose(0, 2, 1), _stack(same, "bias")[:, None, :], same[0].activation)
+            for same in zip(*(experts[j].layers for j in members))
+        ]
+        alone = [(j, [(w[g], b[g], activation) for w, b, activation in stack]) for g, j in enumerate(members)]
+        lo, hi = members[0], members[-1] + 1
+        stacks.append((slice(lo, hi) if hi - lo == len(members) else np.array(members), stack, alone))
+    return stacks
 
 
 def make_cost_model(model: MoEModel) -> CostModel:
@@ -282,7 +322,7 @@ def top1_slots(model: MoEModel, gate_probs: np.ndarray) -> np.ndarray:
 
 def _slot_tails(model: MoEModel, gate_probs: np.ndarray, slots: np.ndarray) -> np.ndarray:
     """[N, K] tails the [N, K] slots need: a top2 slot its row's top pair, any other its own."""
-    if not model._any_top2:
+    if "top2" not in model._kinds:
         return slots
     top2 = model._top2
     tails = slots & ~top2
@@ -305,6 +345,16 @@ def _row_sets(mask: np.ndarray):
         yield j, slice(None) if counts[j] == len(mask) else mask[:, j].nonzero()[0]
 
 
+def _run_tails(layers: list[tuple], a: np.ndarray) -> np.ndarray:
+    """Class probabilities of one tail, [N, C], or of a stack of g, [g, N, C], on rows a [N, in];
+    each slice of a stack is the same BLAS product as its tail alone."""
+    for weight_t, bias, activation in layers:
+        a = a @ weight_t
+        a += bias
+        a = np.maximum(a, 0.0, out=a) if activation == "relu" else a
+    return softmax(a)
+
+
 def evaluate_dataset(
     model: MoEModel,
     x: np.ndarray,
@@ -317,10 +367,13 @@ def evaluate_dataset(
     ``select`` every expert tail and ensembler runs on every row too.  Given
     ``select(base probs, gate probs) -> [N, K] bool`` ensembler slots, only
     the slots it selects and the expert tails they need run on each row; the
-    outputs of the rest stay zero.  ``base`` is the base's forward pass over
-    ``x`` when the caller already holds it; it is then not run again.
+    outputs of the rest stay zero; a stack of tails that all run on every row
+    runs as one batched product per layer.  ``base`` is the base's forward pass
+    over ``x`` when the caller already holds it; it is then not run again.
     """
     x = np.asarray(x, dtype=np.float64)
+    if base is not None and (x.ndim != 2 or len(x) != len(base.probs)):
+        raise ShapeError(f"x must have the base pass's {len(base.probs)} rows, got shape {x.shape}")
     fp = base if base is not None else forward_batch(model.base, x)
     gate_probs = model.gate.distribution_batch(fp.prelogits)
     k = model.num_experts
@@ -337,13 +390,27 @@ def evaluate_dataset(
         tails = _slot_tails(model, gate_probs, slots)
 
     expert_probs = np.zeros((k, n, c))
-    for j, rows in _row_sets(tails):
-        expert_probs[j, rows] = forward_batch(model.experts[j], fp.tap[rows]).probs
+    for cols, stack, alone in model._stacks:
+        need = tails[:, cols]
+        if np.logical_and.reduce(need, axis=None):
+            parts = max(1, -(-n // _BLOCK_ROWS))  # near-equal row blocks
+            for rows in (slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)):
+                expert_probs[cols, rows] = _run_tails(stack, fp.tap[rows])
+        else:
+            for g, rows in _row_sets(need):
+                j, tail = alone[g]
+                expert_probs[j, rows] = _run_tails(tail, fp.tap[rows])
 
     # Allocated only after the tails ran: allocating it first raised the peak RSS of a
     # 6400-row dense pass (64-256-256-32, K=8) by 3.5 MB.
     ev = ModelEval(fp, gate_probs, expert_probs, np.zeros_like(expert_probs))
-    for j, rows in _row_sets(slots):
+    # Bagging slots, the mean of base and expert, and none slots, each in one pass over [K, N, C].
+    if "bagging" in model._kinds:
+        np.add(expert_probs, fp.probs, out=ev.combined, where=slots.T[:, :, None] & model._bagging)
+        ev.combined *= 0.5
+    if "none" in model._kinds:
+        np.copyto(ev.combined, expert_probs, where=slots.T[:, :, None] & model._none)
+    for j, rows in _row_sets(slots & model._looped) if model._kinds & {"stacking", "top2"} else ():
         ens = model.ensemblers[j]
         if ens.kind == "top2":
             pair, at = ev.top_pair[rows], np.arange(n)[rows]

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -22,11 +23,12 @@ from moe_forge.anytime import (
     _predict_batch,
 )
 from moe_forge.data import LabeledDataset
+from moe_forge import model as model_mod
 from moe_forge.errors import ShapeError
 from moe_forge.model import Ensembler, Gate, MoEModel, evaluate_dataset
 from moe_forge.nn import Layer, Network, SgdConfig, forward_batch
 
-from conftest import blob_dataset, random_model, with_exit_head
+from conftest import blob_dataset, random_model, random_network, with_exit_head
 
 
 def fixed_output_model(
@@ -462,20 +464,34 @@ ENSEMBLER_KINDS = ("none", "bagging", "stacking", "top2")
 POLICY_TAUS = (0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 
 
-def count_expert_forwards(monkeypatch, model: MoEModel) -> list:
-    """Record every forward_batch call the model module makes on one of the model's experts."""
-    import moe_forge.model as model_mod
+def count_tail_runs(monkeypatch, model: MoEModel, blocks: list | None = None) -> Counter:
+    """Count (expert, tap row) executions of the model's expert tails, whether a tail runs alone
+    or in one batched product over its stack; a row is keyed by its tap bytes.  ``blocks``
+    collects the row count of every stacked product."""
+    expert_at = {e.layers[0].weight.__array_interface__["data"][0]: j for j, e in enumerate(model.experts)}
+    runs = Counter()
+    original = model_mod._run_tails
 
-    calls = []
-    original = model_mod.forward_batch
+    def counting(layers, a):
+        weight_t = layers[0][0]  # one tail's [in, out] weight, or a stack's [g, in, out]
+        start = weight_t.__array_interface__["data"][0]
+        if weight_t.ndim == 2:
+            experts = [expert_at[start]]
+        else:
+            experts = [expert_at[start + g * weight_t.strides[0]] for g in range(len(weight_t))]
+            if blocks is not None:
+                blocks.append(len(a))
+        runs.update((j, row.tobytes()) for j in experts for row in a)
+        return original(layers, a)
 
-    def counting(net, x):
-        if any(net is e for e in model.experts):
-            calls.append(len(x))
-        return original(net, x)
+    monkeypatch.setattr(model_mod, "_run_tails", counting)
+    return runs
 
-    monkeypatch.setattr(model_mod, "forward_batch", counting)
-    return calls
+
+def experts_run_on(runs: Counter, tap: np.ndarray) -> list[int]:
+    """The experts of the recorded runs, sorted, one entry per run; every run was on this tap row."""
+    assert {key for _, key in runs} <= {tap.tobytes()}
+    return sorted(Counter({j: times for (j, _), times in runs.items()}).elements())
 
 
 class TestConditionalExecution:
@@ -509,30 +525,46 @@ class TestConditionalExecution:
     @pytest.mark.parametrize("kind", ENSEMBLER_KINDS)
     def test_only_the_selected_expert_tails_run(self, rng, monkeypatch, kind):
         model = random_model(rng, num_experts=4, ensembler=kind)
-        tails_per_slot_set = lambda slots: (2 if slots else 0) if kind == "top2" else len(slots)
-        calls = count_expert_forwards(monkeypatch, model)
-        x = rng.normal(size=(25, 4))
+        runs = count_tail_runs(monkeypatch, model)
         partial = 0
-        for row in x:
+        for row in rng.normal(size=(25, 4)):
+            fp = forward_batch(model.base, row[None, :])
+            pair = np.argsort(-model.gate.distribution_batch(fp.prelogits)[0], kind="stable")[:2].tolist()
+            tails_for = lambda slots: (sorted(pair) if slots else []) if kind == "top2" else sorted(slots)
             out = anytime_predict(model, row, AnytimeConfig(tau=1.0))
-            assert out.exited and calls == []
+            assert out.exited and not runs
             out = anytime_predict(model, row, AnytimeConfig(tau=0.0))
             assert out.executed_experts == (0, 1, 2, 3)
-            assert len(calls) == (2 if kind == "top2" else 4)
-            calls.clear()
+            assert experts_run_on(runs, fp.tap[0]) == tails_for([0, 1, 2, 3])
+            runs.clear()
             out = anytime_predict(model, row, AnytimeConfig(tau=0.1))
-            assert len(calls) == tails_per_slot_set(out.executed_experts)
+            assert experts_run_on(runs, fp.tap[0]) == tails_for(list(out.executed_experts))
             partial += 0 < len(out.executed_experts) < 4
-            calls.clear()
-            model.top1_predict(row)
+            runs.clear()
+            _, chosen = model.top1_predict(row)
             model.ensemble_output(3, row)
-            assert len(calls) == 2 * (2 if kind == "top2" else 1)
-            assert set(calls) == {1}
-            calls.clear()
+            assert experts_run_on(runs, fp.tap[0]) == sorted(tails_for([chosen]) + tails_for([3]))
+            runs.clear()
         assert partial > 0
 
     def test_dense_evaluation_runs_every_expert_once_on_all_rows(self, rng, monkeypatch):
-        model = random_model(rng, num_experts=4, ensembler="top2")
-        calls = count_expert_forwards(monkeypatch, model)
-        evaluate_dataset(model, rng.normal(size=(9, 4)))
-        assert calls == [9, 9, 9, 9]
+        block = model_mod._BLOCK_ROWS
+        x = rng.normal(size=(2 * block + 1, 4))
+        for widths in ((6, 6, 6, 6), (2, 5, 2, 9)):  # one stack; three, one of them experts 0 and 2
+            scaffold = random_model(rng, num_experts=4, ensembler="top2")
+            scaffold.base.layers[0].bias += 10.0  # no relu zeros, so each row has its own tap
+            experts = [random_network(rng, [6, width, 3]) for width in widths]
+            model = MoEModel(scaffold.base, scaffold.gate, experts, scaffold.ensemblers, shared_prefix=1)
+            stacks, blocks = len(set(widths)), []
+            with monkeypatch.context() as patch:
+                runs = count_tail_runs(patch, model, blocks)
+                for n in (0, 1, 2, block, block + 1, 2 * block + 1):
+                    taps = [row.tobytes() for row in forward_batch(model.base, x[:n]).tap]
+                    assert len(set(taps)) == n
+                    evaluate_dataset(model, x[:n])
+                    assert runs == Counter({(j, key): 1 for j in range(4) for key in taps})
+                    # each stack in near-equal row blocks, none of 1 row when n >= 2
+                    assert len(blocks) == stacks * max(1, math.ceil(n / block)) and sum(blocks) == stacks * n
+                    assert max(blocks) - min(blocks) <= 1 and (n < 2 or min(blocks) >= 2)
+                    runs.clear()
+                    blocks.clear()

@@ -1,8 +1,11 @@
 """Mixture assembly, ensembler arithmetic, and MAC accounting fixtures."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from moe_forge import model as model_mod
 from moe_forge.errors import ShapeError
 from moe_forge.gate_init import Centroids
 from moe_forge.model import (
@@ -22,7 +25,7 @@ from moe_forge.model import (
 )
 from moe_forge.nn import forward_batch, init_network, softmax
 
-from conftest import random_model, random_network
+from conftest import random_model, random_network, with_exit_head
 
 
 class TestGate:
@@ -220,6 +223,99 @@ class TestModelOutputs:
         probs = model.gate.distribution_batch(prelogits)[0]
         assert probs.shape == (3,)
         assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+
+def per_expert_reference(model: MoEModel, x: np.ndarray):
+    """Every tail alone through forward_batch on all rows, then every slot combined alone."""
+    k = model.num_experts
+    fp = forward_batch(model.base, x)
+    gate_probs = model.gate.distribution_batch(fp.prelogits)
+    experts = np.stack([forward_batch(e, fp.tap).probs for e in model.experts])
+    pair = np.argsort(-gate_probs[:, :k], axis=1, kind="stable")[:, :2]
+    rows = np.arange(len(x))
+    combined = np.stack([
+        0.5 * (experts[pair[:, 0], rows] + experts[pair[:, 1], rows]) if ens.kind == "top2"
+        else apply_ensembler(ens, fp.probs, experts[j])
+        for j, ens in enumerate(model.ensemblers)
+    ])
+    return fp, gate_probs, experts, combined
+
+
+def mixed_model(rng, kinds, widths, exit_head=False) -> MoEModel:
+    """random_model's base and gate with [6 -> width -> 3] tails and the given ensembler kinds."""
+    scaffold = random_model(rng, num_experts=len(kinds))
+    experts = [random_network(rng, [6, width, 3]) for width in widths]
+    ensemblers = [
+        Ensembler(kind, rng.normal(size=(3, 6)), rng.normal(size=3)) if kind == "stacking" else Ensembler(kind)
+        for kind in kinds
+    ]
+    model = MoEModel(scaffold.base, scaffold.gate, experts, ensemblers, shared_prefix=1)
+    return with_exit_head(model, rng, rng.normal(size=(20, 4))) if exit_head else model
+
+
+class TestStackedTails:
+    """Tails of equal shapes run as one stack, bit for bit what each tail gives alone."""
+
+    @pytest.mark.parametrize("exit_head", [False, True], ids=["k_rows", "exit_head"])
+    @pytest.mark.parametrize("widths", [(6, 6, 6, 6), (5, 2, 5, 9)], ids=["one_stack", "three_stacks"])
+    @pytest.mark.parametrize(
+        "kinds",
+        [("none",) * 4, ("bagging",) * 4, ("stacking",) * 4, ("top2",) * 4, ("top2", "stacking", "none", "bagging")],
+        ids=["none", "bagging", "stacking", "top2", "mixed"],
+    )
+    def test_dense_pass_equals_each_tail_alone(self, rng, kinds, widths, exit_head):
+        model = mixed_model(rng, kinds, widths, exit_head)
+        block = model_mod._BLOCK_ROWS
+        x = rng.normal(size=(2 * block + 1, 4))
+        for n in (0, 1, 2, block, block + 1, 2 * block + 1):
+            ev = evaluate_dataset(model, x[:n])
+            fp, gate_probs, experts, combined = per_expert_reference(model, x[:n])
+            for got, want in ((ev.base.probs, fp.probs), (ev.gate_probs, gate_probs),
+                              (ev.expert_probs, experts), (ev.combined, combined)):
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_expert_layers_are_views_into_their_stack(self, rng):
+        model = mixed_model(rng, ("bagging",) * 4, (5, 2, 5, 9))
+        assert [[j for j, _ in alone] for _, _, alone in model._stacks] == [[0, 2], [1], [3]]
+        stacked_bytes = 0
+        for cols, stack, alone in model._stacks:
+            members = np.arange(4)[cols].tolist()
+            assert [j for j, _ in alone] == members
+            for i, (weight_t, bias, _) in enumerate(stack):
+                stacked_bytes += weight_t.nbytes + bias.nbytes
+                for g, j in enumerate(members):
+                    layer = model.experts[j].layers[i]
+                    assert np.shares_memory(layer.weight, weight_t) and np.shares_memory(layer.bias, bias)
+                    np.testing.assert_array_equal(weight_t[g].T, layer.weight)
+        layers = [l for e in model.experts for l in e.layers]
+        assert stacked_bytes == sum(l.weight.nbytes + l.bias.nbytes for l in layers)
+        for a, b in itertools.combinations(layers, 2):
+            assert not np.shares_memory(a.weight, b.weight)
+
+    def test_an_in_place_edit_of_an_expert_reaches_every_path(self, rng):
+        model = random_model(rng, num_experts=4)
+        shared = MoEModel(model.base, model.gate, model.experts, model.ensemblers, shared_prefix=1)
+        assert np.shares_memory(shared._stacks[0][1][0][0], model._stacks[0][1][0][0])
+        x = rng.normal(size=(6, 4))
+        before = evaluate_dataset(model, x)
+        model.experts[2].layers[0].weight[1, 3] += 0.5
+        shared.experts[2].layers[1].bias[0] -= 0.5
+        only_2 = lambda base_probs, gate_probs: np.tile(np.arange(4) == 2, (6, 1))
+        for m in (model, shared):
+            dense, alone = evaluate_dataset(m, x), evaluate_dataset(m, x, only_2)
+            want = forward_batch(m.experts[2], dense.base.tap).probs
+            assert not np.array_equal(want, before.expert_probs[2])
+            np.testing.assert_array_equal(dense.expert_probs[2], want)
+            np.testing.assert_array_equal(alone.expert_probs[2], want)
+            np.testing.assert_array_equal(dense.expert_probs[[0, 1, 3]], before.expert_probs[[0, 1, 3]])
+
+    def test_a_base_pass_over_other_rows_is_rejected(self, rng):
+        model = random_model(rng)
+        x = rng.normal(size=(5, 4))
+        with pytest.raises(ShapeError, match=r"3 rows, got shape \(5, 4\)"):
+            evaluate_dataset(model, x, base=forward_batch(model.base, x[:3]))
+        given = evaluate_dataset(model, x, base=forward_batch(model.base, x))
+        np.testing.assert_array_equal(given.combined, evaluate_dataset(model, x).combined)
 
 
 class TestModelValidation:
