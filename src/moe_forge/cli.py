@@ -1,7 +1,8 @@
 """Command-line entry points: train, eval, ablate.
 
-Configs are JSON; unknown keys are rejected so typos fail loudly.  Exit
-codes: 0 success, 1 runtime failure, 2 invalid configuration or inputs.
+Configs are JSON; unknown keys and values of the wrong JSON type are rejected
+so typos fail loudly.  Exit codes: 0 success, 1 runtime failure, 2 invalid
+configuration or inputs.
 """
 
 from __future__ import annotations
@@ -10,8 +11,9 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import replace
+from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,197 +24,174 @@ from .analysis import (
     oracle_per_class_eval,
     specialization_table,
 )
-from .anytime import convex_envelope, sweep_thresholds
+from .anytime import POLICIES, AnytimeConfig, convex_envelope, sweep_thresholds
 from .data import LabeledDataset, SyntheticSpec, generate_synthetic, load_csv, split
 from .errors import ConfigError, DataError, MoeForgeError, PipelineError
 from .gate_init import initial_gate, per_class_assignment
 from .model import MoEModel, evaluate_dataset, load_model, save_model, slot_macs, top1_slots
 from .nn import ForwardPass, SgdConfig, forward_batch
-from .training import PipelineResult, TrainPlan, plan_to_doc, run_pipeline
+from .training import TrainPlan, run_pipeline
 
-_SGD_KEYS = {
-    "learning_rate",
-    "momentum",
-    "batch_size",
-    "epochs",
-    "lr_decay_epochs",
-    "lr_decay_factor",
+
+class _List(NamedTuple):
+    """The JSON kind of a list of numbers nested ``ndim`` deep, read as an array of ``dtype``."""
+
+    dtype: type
+    ndim: int
+
+
+# The keys of each config block and their JSON kinds.  A key a config leaves out takes the
+# default of the dataclass field it sets; the ranges of the values are checked there too.
+_CONFIG = {"seed": int, "output_dir": str, "workers": int, "data": dict, "model": dict, "train": dict}
+_MODEL = {
+    "layer_dims": _List(np.int64, 1),
+    "tap_index": int,
+    "num_experts": int,
+    "ensembler": str,
+    "temperature": (float, type(None)),
 }
-_SYNTH_KEYS = {
-    "num_classes",
-    "modes_per_class",
-    "dim",
-    "mode_stddev",
-    "samples_per_mode",
-    "seed",
-    "mode_means",
+_TRAIN = {
+    "gamma": float,
+    "negative_handling": str,
+    "routing": str,
+    "em_steps": int,
+    "expert_epochs": int,
+    "sgd_base": dict,
+    "sgd_gate": dict,
+    "sgd_expert": dict,
+    "sgd_ensembler": dict,
 }
+_SGD = {
+    "learning_rate": float,
+    "momentum": float,
+    "batch_size": int,
+    "epochs": int,
+    "lr_decay_epochs": _List(np.int64, 1),
+    "lr_decay_factor": float,
+}
+_DATA = {"synthetic": dict, "csv": str, "num_classes": int, "split": dict}
+_EVAL_DATA = {**_DATA, "take": int}  # an eval data file may also name the split part to evaluate
+_SYNTHETIC = {
+    "num_classes": int,
+    "modes_per_class": int,
+    "dim": int,
+    "mode_stddev": float,
+    "samples_per_mode": int,
+    "seed": int,
+    "mode_means": _List(np.float64, 2),
+}
+_SPLIT = {"fractions": _List(np.float64, 1), "seed": int}
 
 
-def _reject_unknown(block: dict, allowed: set[str], path: str) -> None:
-    for key in block:
-        if key not in allowed:
-            raise ConfigError(f"unknown key {path}.{key}" if path else f"unknown key {key}")
+def _required(cls: type) -> tuple[str, ...]:
+    """The fields of dataclass ``cls`` that have no default."""
+    return tuple(f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING)
 
 
-def _sgd_from_doc(doc: dict, path: str) -> SgdConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must be an object")
-    _reject_unknown(doc, _SGD_KEYS, path)
-    cfg = SgdConfig()
+def _read(doc: dict, table: dict, where: str, required: tuple[str, ...] = ()) -> dict:
+    """The keys of the block ``doc`` at key path ``where``, each read as its kind in ``table``.
+
+    An unknown key, a missing ``required`` key or a value of another JSON kind is a
+    ConfigError naming the key.  A number key given an integer reads as that float; a
+    list key reads as a tuple when flat and as an array when nested.
+    """
+    for key in doc:
+        if key not in table:
+            raise ConfigError(f"unknown key {jsonio.key_path(where, key)}")
+    for key in required:
+        if key not in doc:
+            raise ConfigError(f"missing key {jsonio.key_path(where, key)!r}")
+    values = {}
     try:
-        return replace(
-            cfg,
-            learning_rate=float(doc.get("learning_rate", cfg.learning_rate)),
-            momentum=float(doc.get("momentum", cfg.momentum)),
-            batch_size=int(doc.get("batch_size", cfg.batch_size)),
-            epochs=int(doc.get("epochs", cfg.epochs)),
-            lr_decay_epochs=tuple(int(e) for e in doc.get("lr_decay_epochs", ())),
-            lr_decay_factor=float(doc.get("lr_decay_factor", cfg.lr_decay_factor)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+        for key in doc:
+            kind = table[key]
+            if isinstance(kind, _List):
+                array = jsonio.get_array(doc, key, None, where, kind.dtype)
+                if array.ndim != kind.ndim:
+                    raise ConfigError(
+                        f"key {jsonio.key_path(where, key)!r}: expected a list nested {kind.ndim} deep"
+                    )
+                values[key] = tuple(array.tolist()) if kind.ndim == 1 else array
+            else:
+                value = jsonio.get_value(doc, key, kind, where)
+                values[key] = float(value) if type(value) is int and kind is not int else value
+    except PipelineError as exc:
+        raise ConfigError(str(exc)) from exc
+    return values
 
 
-def _synthetic_from_doc(doc: dict, path: str) -> SyntheticSpec:
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must be an object")
-    _reject_unknown(doc, _SYNTH_KEYS, path)
-    missing = {"num_classes", "modes_per_class", "dim", "mode_stddev", "samples_per_mode", "seed"} - set(doc)
-    if missing:
-        raise ConfigError(f"{path}: missing keys {sorted(missing)}")
-    means = doc.get("mode_means")
-    return SyntheticSpec(
-        num_classes=int(doc["num_classes"]),
-        modes_per_class=int(doc["modes_per_class"]),
-        dim=int(doc["dim"]),
-        mode_stddev=float(doc["mode_stddev"]),
-        samples_per_mode=int(doc["samples_per_mode"]),
-        seed=int(doc["seed"]),
-        mode_means=np.asarray(means, dtype=np.float64) if means is not None else None,
-    )
-
-
-def _load_data_block(doc: dict, path: str, base_dir: Path) -> list[LabeledDataset]:
-    """Build the dataset (and optional split parts) from a config data block."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path} must be an object")
-    _reject_unknown(doc, {"synthetic", "csv", "num_classes", "split"}, path)
-    has_synth = "synthetic" in doc
-    has_csv = "csv" in doc
-    if has_synth == has_csv:
-        raise ConfigError(f"{path}: provide exactly one of 'synthetic' or 'csv'")
-    if has_synth:
-        spec = _synthetic_from_doc(doc["synthetic"], f"{path}.synthetic")
-        try:
-            dataset = generate_synthetic(spec).dataset
-        except (DataError, MoeForgeError) as exc:
-            raise ConfigError(f"{path}.synthetic: {exc}") from exc
-    else:
-        csv_path = Path(doc["csv"])
-        if not csv_path.is_absolute():
-            csv_path = base_dir / csv_path
-        if not csv_path.exists():
-            raise ConfigError(f"{path}.csv: file not found: {csv_path}")
-        try:
-            dataset = load_csv(csv_path, num_classes=doc.get("num_classes"))
-        except DataError as exc:
-            raise ConfigError(str(exc)) from exc
-    split_doc = doc.get("split")
-    if split_doc is None:
-        return [dataset]
-    _reject_unknown(split_doc, {"fractions", "seed"}, f"{path}.split")
-    if "fractions" not in split_doc:
-        raise ConfigError(f"{path}.split: missing 'fractions'")
+def _checked(plan: TrainPlan, prefix: str = "") -> TrainPlan:
+    """``plan``, once ``TrainPlan.validate`` passes it; its error becomes a ConfigError."""
     try:
-        return split(
-            dataset,
-            [float(f) for f in split_doc["fractions"]],
-            seed=int(split_doc.get("seed", 0)),
-        )
-    except DataError as exc:
-        raise ConfigError(f"{path}.split: {exc}") from exc
+        plan.validate()
+    except (MoeForgeError, ValueError) as exc:
+        raise ConfigError(f"{prefix}{exc}") from exc
+    return plan
 
 
 def _plan_from_config(config: dict) -> TrainPlan:
-    _reject_unknown(config, {"seed", "output_dir", "workers", "data", "model", "train"}, "")
-    for required in ("data", "model", "output_dir"):
-        if required not in config:
-            raise ConfigError(f"missing required key {required!r}")
-    model_doc = config["model"]
-    if not isinstance(model_doc, dict):
-        raise ConfigError("model must be an object")
-    _reject_unknown(
-        model_doc, {"layer_dims", "tap_index", "num_experts", "ensembler", "temperature"}, "model"
-    )
-    if "layer_dims" not in model_doc:
-        raise ConfigError("model.layer_dims is required")
-    train_doc = config.get("train", {})
-    if not isinstance(train_doc, dict):
-        raise ConfigError("train must be an object")
-    _reject_unknown(
-        train_doc,
-        {
-            "gamma",
-            "negative_handling",
-            "routing",
-            "em_steps",
-            "expert_epochs",
-            "sgd_base",
-            "sgd_gate",
-            "sgd_expert",
-            "sgd_ensembler",
-        },
-        "train",
-    )
-
     workers = config.get("workers", 1)
     if type(workers) is not int or workers != 1:  # training is serial; configs may still say 1
         raise ConfigError(f"workers: training runs serially, so only 1 is accepted (got {workers!r})")
-    defaults = TrainPlan(layer_dims=(1, 1, 1), num_experts=1)
-    temperature = model_doc.get("temperature")
+    top = _read(config, _CONFIG, "", required=("data", "model", "output_dir"))
+    values = _read(top["model"], _MODEL, "model", required=_required(TrainPlan))
+    for key, value in _read(top.get("train", {}), _TRAIN, "train").items():
+        # A given sgd_* block starts from SgdConfig(); an absent one keeps the plan's stage default.
+        values[key] = SgdConfig(**_read(value, _SGD, f"train.{key}")) if _TRAIN[key] is dict else value
+    if "seed" in top:
+        values["seed"] = top["seed"]
+    return _checked(TrainPlan(**values))
+
+
+def _load_csv(path: Path, num_classes: int | None) -> LabeledDataset:
+    if not path.exists():
+        raise ConfigError(f"file not found: {path}")
     try:
-        plan = TrainPlan(
-            layer_dims=tuple(int(d) for d in model_doc["layer_dims"]),
-            num_experts=int(model_doc.get("num_experts", 4)),
-            tap_index=int(model_doc.get("tap_index", 0)),
-            ensembler=str(model_doc.get("ensembler", "bagging")),
-            temperature=float(temperature) if temperature is not None else None,
-            gamma=float(train_doc.get("gamma", 0.05)),
-            negative_handling=str(train_doc.get("negative_handling", "reweight")),
-            routing=str(train_doc.get("routing", "per_sample")),
-            em_steps=int(train_doc.get("em_steps", 0)),
-            expert_epochs=int(train_doc.get("expert_epochs", defaults.expert_epochs)),
-            seed=int(config.get("seed", 0)),
-            sgd_base=_sgd_from_doc(train_doc.get("sgd_base", {}), "train.sgd_base"),
-            sgd_gate=(
-                _sgd_from_doc(train_doc["sgd_gate"], "train.sgd_gate")
-                if "sgd_gate" in train_doc
-                else defaults.sgd_gate
-            ),
-            sgd_expert=_sgd_from_doc(train_doc.get("sgd_expert", {}), "train.sgd_expert"),
-            sgd_ensembler=(
-                _sgd_from_doc(train_doc["sgd_ensembler"], "train.sgd_ensembler")
-                if "sgd_ensembler" in train_doc
-                else defaults.sgd_ensembler
-            ),
-        )
-        plan.validate()
-    except ConfigError:
-        raise
-    except MoeForgeError as exc:
+        return load_csv(path, num_classes)
+    except DataError as exc:
         raise ConfigError(str(exc)) from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
-    if plan.ensembler not in ("none", "bagging", "stacking", "top2"):
-        raise ConfigError(f"model.ensembler: unknown kind {plan.ensembler!r}")
-    return plan
+
+
+def _load_data_block(
+    doc: dict, where: str, base_dir: Path, table: dict = _DATA, num_classes: int | None = None
+) -> list[LabeledDataset]:
+    """The dataset of the data block ``doc`` at key path ``where``, or its split parts.
+
+    A CSV path is relative to ``base_dir``; ``num_classes`` is the class count of a CSV
+    whose block sets none (None: its largest label + 1).  A ``take`` key, which
+    ``_EVAL_DATA`` admits, keeps only the part it indexes.
+    """
+    values = _read(doc, table, where)
+    if ("synthetic" in values) == ("csv" in values):
+        raise ConfigError(f"{where or 'data'}: provide exactly one of 'synthetic' or 'csv'")
+    if "csv" in values:
+        parts = [_load_csv(base_dir / values["csv"], values.get("num_classes", num_classes))]
+    else:
+        synth_where = jsonio.key_path(where, "synthetic")
+        spec = SyntheticSpec(**_read(values["synthetic"], _SYNTHETIC, synth_where, _required(SyntheticSpec)))
+        try:
+            parts = [generate_synthetic(spec).dataset]
+        except MoeForgeError as exc:
+            raise ConfigError(f"{synth_where}: {exc}") from exc
+    if "split" in values:
+        split_where = jsonio.key_path(where, "split")
+        how = _read(values["split"], _SPLIT, split_where, required=("fractions",))
+        try:
+            parts = split(parts[0], how["fractions"], seed=how.get("seed", 0))
+        except DataError as exc:
+            raise ConfigError(f"{split_where}: {exc}") from exc
+    if "take" in values:
+        take, take_where = values["take"], jsonio.key_path(where, "take")
+        if not 0 <= take < len(parts):
+            raise ConfigError(f"key {take_where!r}: no part {take} among parts 0..{len(parts) - 1}")
+        parts = [parts[take]]
+    return parts
 
 
 def _load_config(path: str | Path) -> dict:
     path = Path(path)
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"file not found: {path}")
     try:
         config = json.loads(path.read_text())
     except json.JSONDecodeError as exc:
@@ -220,14 +199,6 @@ def _load_config(path: str | Path) -> dict:
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return config
-
-
-def _config_hash(config: dict) -> str:
-    return hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest()
-
-
-def _hash_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def _top1_metrics(
@@ -247,11 +218,6 @@ def _top1_metrics(
     return accuracy, float(per_row.sum()) / len(ds)
 
 
-def _save_trained_model(path: Path, result: PipelineResult) -> None:
-    """model.json of a training, reusing the expert text its experts stage encoded."""
-    save_model(path, result.model, result.expert_text)
-
-
 def cmd_train(config_path: str) -> int:
     config = _load_config(config_path)
     plan = _plan_from_config(config)
@@ -261,16 +227,16 @@ def cmd_train(config_path: str) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     result = run_pipeline(train_ds, plan, out_dir)
-    _save_trained_model(out_dir / "model.json", result)
+    save_model(out_dir / "model.json", result.model, result.expert_text)
 
     accuracy, mean_macs = _top1_metrics(result.model, train_ds, result.base_pass)
     artifacts = {}
     for file in sorted(out_dir.rglob("*")):
         if file.is_file() and file.name != "manifest.json":
-            artifacts[str(file.relative_to(out_dir))] = _hash_file(file)
+            artifacts[str(file.relative_to(out_dir))] = hashlib.sha256(file.read_bytes()).hexdigest()
     manifest = {
-        "config_hash": _config_hash(config),
-        "plan": plan_to_doc(plan),
+        "config_hash": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
+        "plan": asdict(plan),
         "seed": plan.seed,
         "tag": "ensembling-baseline" if plan.num_experts == 1 else "mixture",
         "train_samples": len(train_ds),
@@ -292,38 +258,21 @@ def cmd_train(config_path: str) -> int:
     return 0
 
 
-def _load_eval_data(data_path: str) -> LabeledDataset:
-    path = Path(data_path)
-    if not path.exists():
-        raise ConfigError(f"data file not found: {path}")
-    if path.suffix == ".json":
-        doc = jsonio.load_json(path)
-        if not isinstance(doc, dict):
-            raise ConfigError(f"{path}: top level must be a JSON object")
-        _reject_unknown(doc, {"synthetic", "split", "take"}, "data")
-        if "synthetic" not in doc:
-            raise ConfigError(f"{path}: JSON data files need a 'synthetic' block")
-        spec = _synthetic_from_doc(doc["synthetic"], "synthetic")
-        dataset = generate_synthetic(spec).dataset
-        if "split" in doc:
-            split_doc = doc["split"]
-            _reject_unknown(split_doc, {"fractions", "seed"}, "split")
-            parts = split(
-                dataset,
-                [float(f) for f in split_doc["fractions"]],
-                seed=int(split_doc.get("seed", 0)),
-            )
-            dataset = parts[int(doc.get("take", 0))]
-        return dataset
+def _load_eval_data(path: Path, num_classes: int) -> LabeledDataset:
+    """An eval data file: a CSV of ``num_classes`` classes, or a JSON object of a config's data
+    keys plus ``take``, the index of the split part to evaluate (the first when absent)."""
+    if path.suffix != ".json":
+        return _load_csv(path, num_classes)
+    doc = _load_config(path)
     try:
-        return load_csv(path)
-    except DataError as exc:
-        raise ConfigError(str(exc)) from exc
+        return _load_data_block(doc, "", path.parent, _EVAL_DATA, num_classes)[0]
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     model = load_model(args.model)
-    ds = _load_eval_data(args.data)
+    ds = _load_eval_data(Path(args.data), model.num_classes)
     if ds.dim != model.base.input_dim or ds.num_classes != model.num_classes:
         raise ConfigError(
             f"data has dim {ds.dim} / {ds.num_classes} classes, model expects "
@@ -382,38 +331,26 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-_ABLATE_AXES = ("shared_prefix", "gamma", "num_experts", "n_e_schedule")
+# Each ablation axis: the TrainPlan field its values set and how they parse.
+_ABLATE_AXES = {
+    "shared_prefix": ("tap_index", int),
+    "gamma": ("gamma", float),
+    "num_experts": ("num_experts", int),
+    "n_e_schedule": ("em_steps", int),
+}
 
 
 def _ablate_plan(plan: TrainPlan, axis: str, raw: str) -> tuple[TrainPlan, str]:
-    """One modified plan per ablation value, plus its summary label."""
-    if axis == "gamma":
-        value = float(raw)
-        if not 0.0 <= value <= 1.0:
-            raise ConfigError(f"gamma value {raw} outside [0, 1]")
-        label = "default" if value == 0.05 else ""
-        return replace(plan, gamma=value), label
-    if axis == "num_experts":
-        value = int(raw)
-        if value < 1:
-            raise ConfigError(f"num_experts value {raw} must be >= 1")
-        label = "ensembling-baseline" if value == 1 else ""
-        return replace(plan, num_experts=value), label
-    if axis == "shared_prefix":
-        value = int(raw)
-        last_valid = len(plan.layer_dims) - 3
-        if not 0 <= value <= last_valid:
-            raise ConfigError(
-                f"shared_prefix {raw} out of range: tap must leave an expert tail "
-                f"(valid: 0..{last_valid})"
-            )
-        return replace(plan, tap_index=value), ""
-    if axis == "n_e_schedule":
-        value = int(raw)
-        if value < 0:
-            raise ConfigError(f"n_e_schedule value {raw} must be >= 0")
-        return replace(plan, em_steps=value), ""
-    raise ConfigError(f"unknown ablation axis {axis!r} (choose from {_ABLATE_AXES})")
+    """The plan with the field of ``axis`` set to the value ``raw``, plus its summary label."""
+    field, parse = _ABLATE_AXES[axis]
+    try:
+        value = parse(raw)
+    except ValueError as exc:
+        raise ConfigError(f"{axis} value {raw!r}: {exc}") from exc
+    plan = _checked(replace(plan, **{field: value}), f"{axis}={raw}: ")
+    if axis == "gamma" and value == TrainPlan.gamma:
+        return plan, "default"
+    return plan, "ensembling-baseline" if axis == "num_experts" and value == 1 else ""
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
@@ -423,15 +360,11 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     train_ds = parts[0]
     eval_ds = parts[1] if len(parts) > 1 else parts[0]
     if args.axis not in _ABLATE_AXES:
-        raise ConfigError(f"unknown ablation axis {args.axis!r} (choose from {_ABLATE_AXES})")
+        raise ConfigError(f"unknown ablation axis {args.axis!r} (choose from {tuple(_ABLATE_AXES)})")
     values = [v.strip() for v in args.values.split(",") if v.strip()]
     if not values:
         raise ConfigError("--values must name at least one value")
-
-    runs = []
-    for raw in values:
-        plan, label = _ablate_plan(base_plan, args.axis, raw)
-        runs.append((raw, plan, label))
+    runs = [(raw, *_ablate_plan(base_plan, args.axis, raw)) for raw in values]
 
     out_root = Path(config["output_dir"]) / "ablate" / args.axis
     lines = ["axis_value,seed,accuracy,mean_macs,label"]
@@ -439,7 +372,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         run_dir = out_root / raw.replace("/", "_")
         run_dir.mkdir(parents=True, exist_ok=True)
         result = run_pipeline(train_ds, plan, run_dir)
-        _save_trained_model(run_dir / "model.json", result)
+        save_model(run_dir / "model.json", result.model, result.expert_text)
         accuracy, mean_macs = _top1_metrics(result.model, eval_ds)
         lines.append(f"{raw},{plan.seed},{accuracy!r},{mean_macs!r},{label}")
         print(f"{args.axis}={raw}: accuracy={accuracy:.4f} mean_macs={mean_macs:.1f}")
@@ -461,13 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate a trained model checkpoint")
     p_eval.add_argument("model", help="path to model.json")
-    p_eval.add_argument("data", help="CSV data file or JSON synthetic data spec")
+    p_eval.add_argument("data", help="CSV data file, or JSON of a config's data keys plus take")
     p_eval.add_argument("--taus", help="comma-separated thresholds for a trade-off sweep")
-    p_eval.add_argument(
-        "--policy",
-        default="alpha_threshold",
-        choices=("alpha_threshold", "base_confidence", "gate_confidence", "learned_gate"),
-    )
+    p_eval.add_argument("--policy", default=AnytimeConfig.policy, choices=POLICIES)
     p_eval.add_argument("--out", help="directory for CSV outputs")
     p_eval.add_argument("--analyze", action="store_true", help="write analysis tables")
     p_eval.add_argument("--num-bins", type=int, default=10, help="reliability bins")
@@ -488,16 +417,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "eval":
             return cmd_eval(args)
         return cmd_ablate(args)
-    except (ConfigError, PipelineError) as exc:
+    except (ConfigError, PipelineError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MoeForgeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, TypeError) as exc:
+    except (MoeForgeError, ValueError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -216,8 +216,9 @@ def get_array(
 
     Nested lists are read in row-major order.  A document built in memory
     may hold a tuple or an array instead.  An integer ``dtype`` admits only
-    integers.  Raises PipelineError naming the key path when the value is
-    not such a list or its size does not match the shape.
+    integers; an empty list fits any ``dtype``.  Raises PipelineError naming
+    the key path when the value is not such a list or its size does not
+    match the shape.
     """
     path = key_path(where, key)
     values = get_value(doc, key, (list, tuple, np.ndarray), where)
@@ -226,7 +227,7 @@ def get_array(
         array = np.asarray(values)
     except ValueError:  # ragged nesting
         array = None
-    if array is None or array.dtype.kind not in ("iu" if integral else "iuf"):
+    if array is None or array.size and array.dtype.kind not in ("iu" if integral else "iuf"):
         raise PipelineError(f"key {path!r}: expected a list of {'integers' if integral else 'numbers'}")
     if shape is None:
         shape = array.shape

@@ -276,22 +276,21 @@ def mac_count(model: MoEModel, trace: ExecutionTrace) -> int:
     return total
 
 
+def stacking_inputs(base_probs: np.ndarray, expert_probs: np.ndarray) -> np.ndarray:
+    """[N, 2C] inputs of a stacking ensembler: the base's and the expert's log-probabilities."""
+    return np.concatenate(
+        [np.log(np.maximum(base_probs, PROB_FLOOR)), np.log(np.maximum(expert_probs, PROB_FLOOR))], axis=1
+    )
+
+
 def apply_ensembler(ens: Ensembler, base_probs: np.ndarray, expert_probs: np.ndarray) -> np.ndarray:
-    """Combine [N, C] base and expert probabilities (all kinds except top2)."""
-    if ens.kind == "none":
-        return expert_probs.copy()
-    if ens.kind == "bagging":
-        return 0.5 * (base_probs + expert_probs)
-    if ens.kind == "stacking":
-        stacked = np.concatenate(
-            [
-                np.log(np.maximum(base_probs, PROB_FLOOR)),
-                np.log(np.maximum(expert_probs, PROB_FLOOR)),
-            ],
-            axis=1,
-        )
-        return softmax(stacked @ ens.weight.T + ens.bias)
-    raise ShapeError("top2 combines expert pairs; use evaluate_dataset")
+    """Combine [N, C] base and expert probabilities with a stacking ensembler.
+
+    ``evaluate_dataset`` combines the other kinds over all slots at once.
+    """
+    if ens.kind != "stacking":
+        raise ShapeError(f"{ens.kind} slots are combined by evaluate_dataset")
+    return softmax(stacking_inputs(base_probs, expert_probs) @ ens.weight.T + ens.bias)
 
 
 def _top_pair(gate_probs: np.ndarray, k: int) -> np.ndarray:

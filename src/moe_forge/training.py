@@ -15,13 +15,14 @@ from __future__ import annotations
 import copy
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import jsonio
+from .analysis import gate_disagreement
 from .data import LabeledDataset, weighted_batches
 from .errors import PipelineError, ShapeError
 from .gate_init import (
@@ -33,6 +34,7 @@ from .gate_init import (
     smooth_weights,
 )
 from .model import (
+    ENSEMBLER_KINDS,
     Ensembler,
     Gate,
     MoEModel,
@@ -40,6 +42,7 @@ from .model import (
     ensembler_to_doc,
     gate_from_doc,
     gate_to_doc,
+    stacking_inputs,
 )
 from .nn import (
     PROB_FLOOR,
@@ -64,7 +67,7 @@ class TrainPlan:
     """Everything a full training run depends on, minus the dataset."""
 
     layer_dims: tuple[int, ...]
-    num_experts: int
+    num_experts: int = 4
     tap_index: int = 0
     ensembler: str = "bagging"
     gamma: float = 0.05
@@ -91,6 +94,8 @@ class TrainPlan:
             raise ShapeError("num_experts must be positive")
         if not 0 <= self.gamma <= 1:
             raise ValueError("gamma must lie in [0, 1]")
+        if self.ensembler not in ENSEMBLER_KINDS:
+            raise ValueError(f"unknown ensembler {self.ensembler!r}")
         if self.negative_handling not in NEGATIVE_HANDLING:
             raise ValueError(f"unknown negative_handling {self.negative_handling!r}")
         if self.routing not in ROUTING:
@@ -226,11 +231,7 @@ def train_ensembler(
         fp = forward_batch(base, ds.features)
         base_probs = fp.probs
         tap_features = fp.tap
-    expert_probs = forward_batch(expert, tap_features).probs
-    stacked = np.concatenate(
-        [np.log(np.maximum(base_probs, PROB_FLOOR)), np.log(np.maximum(expert_probs, PROB_FLOOR))],
-        axis=1,
-    )
+    stacked = stacking_inputs(base_probs, forward_batch(expert, tap_features).probs)
     c = base_probs.shape[1]
     net = init_network([2 * c, c], tap_index=0, seed=derive_seed(cfg.seed, "init"))
     trained = sgd_train(net, stacked, ds.labels, sample_weights, cfg)
@@ -335,41 +336,8 @@ class PipelineResult:
     expert_text: list[jsonio.Fragment] | None = None
 
 
-def plan_to_doc(plan: TrainPlan) -> dict:
-    """Plan as a JSON-ready dict."""
-
-    def sgd_doc(cfg: SgdConfig) -> dict:
-        return {
-            "learning_rate": cfg.learning_rate,
-            "momentum": cfg.momentum,
-            "batch_size": cfg.batch_size,
-            "epochs": cfg.epochs,
-            "lr_decay_epochs": list(cfg.lr_decay_epochs),
-            "lr_decay_factor": cfg.lr_decay_factor,
-            "seed": cfg.seed,
-        }
-
-    return {
-        "layer_dims": list(plan.layer_dims),
-        "num_experts": plan.num_experts,
-        "tap_index": plan.tap_index,
-        "ensembler": plan.ensembler,
-        "gamma": plan.gamma,
-        "temperature": plan.temperature,
-        "negative_handling": plan.negative_handling,
-        "routing": plan.routing,
-        "em_steps": plan.em_steps,
-        "expert_epochs": plan.expert_epochs,
-        "seed": plan.seed,
-        "sgd_base": sgd_doc(plan.sgd_base),
-        "sgd_gate": sgd_doc(plan.sgd_gate),
-        "sgd_expert": sgd_doc(plan.sgd_expert),
-        "sgd_ensembler": sgd_doc(plan.sgd_ensembler),
-    }
-
-
 def plan_hash(plan: TrainPlan) -> str:
-    return hashlib.sha256(jsonio.dumps(plan_to_doc(plan)).encode()).hexdigest()
+    return hashlib.sha256(jsonio.dumps(asdict(plan)).encode()).hexdigest()
 
 
 def dataset_hash(ds: LabeledDataset) -> str:
@@ -650,17 +618,13 @@ def _write_diagnostics(
         lines.append(f"{k},{int((argmax == k).sum())},{repr(float(targets[:, k].sum()))}")
     (diag / "expert_mass.csv").write_text("\n".join(lines) + "\n")
 
-    prelogits = result.base_pass.prelogits
-    trained = model.gate.distribution_batch(prelogits)[:, : model.num_experts].argmax(axis=1)
-    changed = int((argmax != trained).sum())
+    trained = model.gate.distribution_batch(result.base_pass.prelogits)[:, : model.num_experts]
+    report = gate_disagreement(argmax, trained.argmax(axis=1), ds.labels, model.num_experts)
+    changed = len(ds) - int(report.transition_counts.trace())
     (diag / "gate_disagreement.csv").write_text(
-        "fraction,changed,total\n"
-        f"{repr(changed / len(ds))},{changed},{len(ds)}\n"
+        f"fraction,changed,total\n{report.fraction!r},{changed},{len(ds)}\n"
     )
-    counts = np.zeros((model.num_experts, model.num_experts), dtype=np.int64)
-    np.add.at(counts, (argmax, trained), 1)
     rows = ["from_expert,to_expert,count"]
-    for i in range(model.num_experts):
-        for j in range(model.num_experts):
-            rows.append(f"{i},{j},{int(counts[i, j])}")
+    for (i, j), count in np.ndenumerate(report.transition_counts):
+        rows.append(f"{i},{j},{count}")
     (diag / "gate_transitions.csv").write_text("\n".join(rows) + "\n")

@@ -9,13 +9,13 @@ import pytest
 import moe_forge.cli as cli
 from moe_forge.analysis import gate_disagreement
 from moe_forge.anytime import CURVE_HEADER
-from moe_forge.cli import _plan_from_config, _save_trained_model, _top1_metrics, main
+from moe_forge.cli import _plan_from_config, _top1_metrics, main
 from moe_forge.data import LabeledDataset, generate_synthetic, save_csv
 from moe_forge.errors import ConfigError
 from moe_forge.gate_init import initial_gate
 from moe_forge.jsonio import load_json
 from moe_forge.model import evaluate_dataset, load_model, save_model, slot_macs, top1_slots
-from moe_forge.nn import forward_batch
+from moe_forge.nn import SgdConfig, forward_batch
 from moe_forge.training import TrainPlan, run_pipeline
 
 from conftest import blob_dataset, random_model, with_exit_head
@@ -147,6 +147,14 @@ class TestTrain:
         config = make_config(tmp_path, data={"csv": "train.csv"})
         assert main(["train", str(config)]) == 0
 
+    def test_the_readme_config_trains(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        config = json.loads(readme.split("```json\n", 1)[1].split("```", 1)[0])
+        config["output_dir"] = str(tmp_path / "run")
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        assert main(["train", str(tmp_path / "config.json")]) == 0
+        assert (tmp_path / "run" / "model.json").exists()
+
     def test_split_block_trains_on_the_first_part(self, tmp_path):
         config = make_config(tmp_path)
         doc = json.loads(config.read_text())
@@ -186,6 +194,43 @@ class TestEval:
         ds = generate_synthetic_dataset()
         save_csv(tmp_path / "eval.csv", ds)
         assert main(["eval", str(trained), str(tmp_path / "eval.csv")]) == 0
+
+    def test_csv_without_the_top_class_takes_the_model_class_count(self, trained, tmp_path, capsys):
+        ds = generate_synthetic_dataset()
+        keep = ds.labels < 2
+        save_csv(tmp_path / "eval.csv", LabeledDataset(ds.features[keep], ds.labels[keep], 2))
+        assert main(["eval", str(trained), str(tmp_path / "eval.csv")]) == 0
+        assert "samples: 60" in capsys.readouterr().out
+
+    def test_csv_label_at_the_class_count_is_a_usage_error_naming_the_line(self, trained, tmp_path, capsys):
+        ds = generate_synthetic_dataset()
+        save_csv(tmp_path / "eval.csv", LabeledDataset(ds.features[:5], [0, 1, 2, 3, 0], 4))
+        assert main(["eval", str(trained), str(tmp_path / "eval.csv")]) == 2
+        assert "line 4: label 3 >= declared class count 3" in capsys.readouterr().err
+
+    def test_take_selects_a_split_part(self, trained, tmp_path, capsys):
+        data = tmp_path / "eval_data.json"
+        doc = json.loads(eval_data_file(tmp_path).read_text())
+        data.write_text(json.dumps({**doc, "split": {"fractions": [0.8, 0.2], "seed": 1}, "take": 1}))
+        assert main(["eval", str(trained), str(data)]) == 0
+        assert "samples: 6" in capsys.readouterr().out.splitlines()
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            ({"split": {"seed": 1}}, "missing key 'split.fractions'"),
+            ({"split": {"fractions": [0.5, 0.5]}, "take": 2}, "key 'take': no part 2 among parts 0..1"),
+            ({"split": {"fractions": [0.5, 0.4]}}, "split: fractions must sum to 1"),
+            ({"split": 0.5}, "key 'split': expected an object, got a number"),
+            ({"take": "0"}, "key 'take': expected an integer, got a string"),
+            ({"epochs": 3}, "unknown key epochs"),
+        ],
+    )
+    def test_data_file_errors_exit_2_naming_the_key(self, trained, tmp_path, capsys, extra, key):
+        data = tmp_path / "eval_data.json"
+        data.write_text(json.dumps({**json.loads(eval_data_file(tmp_path).read_text()), **extra}))
+        assert main(["eval", str(trained), str(data)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {data}: {key}")
 
     def test_threshold_sweep_prints_and_writes_curves(self, trained, tmp_path, capsys):
         data = eval_data_file(tmp_path)
@@ -274,7 +319,7 @@ class TestEval:
         # The same figures, each from its own base pass as separate commands would compute them.
         monkeypatch.undo()
         model = load_model(trained)
-        ds = cli._load_eval_data(str(data))
+        ds = cli._load_eval_data(data, model.num_classes)
         base_acc = float((forward_batch(model.base, ds.features).probs.argmax(axis=1) == ds.labels).mean())
         ev = evaluate_dataset(model, ds.features)
         slots = top1_slots(model, ev.gate_probs)
@@ -338,8 +383,8 @@ class TestModelJson:
         resumed = run_pipeline(ds, plan, tmp_path / "run")
         assert fresh.expert_text is not None
         assert all(s.loaded for s in resumed.stages) and resumed.expert_text is None
-        _save_trained_model(tmp_path / "fresh.json", fresh)
-        _save_trained_model(tmp_path / "resumed.json", resumed)
+        save_model(tmp_path / "fresh.json", fresh.model, fresh.expert_text)
+        save_model(tmp_path / "resumed.json", resumed.model, resumed.expert_text)
         save_model(tmp_path / "plain.json", fresh.model)
         text = (tmp_path / "plain.json").read_bytes()
         assert (tmp_path / "fresh.json").read_bytes() == text
@@ -390,6 +435,21 @@ class TestAblate:
         code = main(["ablate", str(config), "--axis", "shared_prefix", "--values", "0,1"])
         assert code == 2
         assert "shared_prefix" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "axis, value, message",
+        [
+            ("gamma", "1.5", "gamma=1.5: gamma must lie in [0, 1]"),
+            ("gamma", "high", "gamma value 'high'"),
+            ("num_experts", "0", "num_experts=0: num_experts must be positive"),
+            ("n_e_schedule", "-1", "n_e_schedule=-1: em_steps and expert_epochs must be non-negative"),
+        ],
+    )
+    def test_invalid_axis_value_is_a_usage_error(self, tmp_path, capsys, axis, value, message):
+        config = make_config(tmp_path)
+        assert main(["ablate", str(config), "--axis", axis, "--values", f"0,{value}"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "run" / "ablate").exists()
 
     def test_unknown_axis_is_a_usage_error(self, tmp_path, capsys):
         config = make_config(tmp_path)
@@ -456,6 +516,41 @@ class TestConfigErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: workers: ") and repr(workers) in err
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize(
+        "block, key, value, message",
+        [
+            ("train.sgd_base", "learning_rate", "0.1", "expected a number, got a string"),
+            ("train", "gamma", True, "expected a number, got a boolean"),
+            ("model", "num_experts", 2.7, "expected an integer, got a number"),
+            ("model", "layer_dims", [4, 6.5, 3], "expected a list of integers"),
+            ("model", "layer_dims", [[4, 6, 3]], "expected a list nested 1 deep"),
+            ("model", "temperature", "8", "expected a number or null, got a string"),
+            ("data.synthetic", "samples_per_mode", 30.0, "expected an integer, got a number"),
+            ("", "seed", "3", "expected an integer, got a string"),
+            ("", "output_dir", 7, "expected a string, got an integer"),
+        ],
+    )
+    def test_value_of_the_wrong_type_exits_2_naming_the_key(self, tmp_path, capsys, block, key, value, message):
+        doc = json.loads(make_config(tmp_path).read_text())
+        target = doc
+        for part in filter(None, block.split(".")):
+            target = target[part]
+        target[key] = value
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        assert main(["train", str(tmp_path / "config.json")]) == 2
+        path = f"{block}.{key}" if block else key
+        assert capsys.readouterr().err == f"error: key {path!r}: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_sgd_blocks_start_from_sgd_config_and_absent_ones_from_the_plan(self, tmp_path):
+        doc = json.loads(make_config(tmp_path).read_text())
+        doc["train"] = {"sgd_gate": {"epochs": 8, "lr_decay_epochs": []}, "sgd_base": {"learning_rate": 1}}
+        plan = _plan_from_config(doc)
+        assert plan.sgd_gate == SgdConfig(epochs=8)
+        assert plan.sgd_base == SgdConfig(learning_rate=1.0) and type(plan.sgd_base.learning_rate) is float
+        assert plan.sgd_ensembler == TrainPlan((4, 6, 3)).sgd_ensembler != SgdConfig()
+        assert plan.num_experts == 2 and plan.gamma == TrainPlan.gamma
 
     def test_workers_one_trains_as_without_the_key(self, tmp_path):
         plain = _plan_from_config(json.loads(make_config(tmp_path).read_text()))

@@ -46,22 +46,21 @@ class TestGate:
 
 class TestEnsemblerArithmetic:
     def test_none_passes_expert_through(self, rng):
-        expert = rng.dirichlet(np.ones(3), size=5)
-        base = rng.dirichlet(np.ones(3), size=5)
-        np.testing.assert_array_equal(apply_ensembler(Ensembler("none"), base, expert), expert)
+        ev = evaluate_dataset(random_model(rng, ensembler="none"), rng.normal(size=(5, 4)))
+        np.testing.assert_array_equal(ev.combined, ev.expert_probs)
 
-    def test_bagging_is_the_elementwise_mean(self):
-        base = np.array([[0.6, 0.4]])
-        expert = np.array([[0.2, 0.8]])
-        np.testing.assert_allclose(
-            apply_ensembler(Ensembler("bagging"), base, expert), [[0.4, 0.6]], atol=1e-15
-        )
+    def test_bagging_is_the_elementwise_mean(self, rng):
+        ev = evaluate_dataset(random_model(rng, ensembler="bagging"), rng.normal(size=(5, 4)))
+        np.testing.assert_array_equal(ev.combined, 0.5 * (ev.base.probs + ev.expert_probs))
 
     def test_bagging_output_is_a_distribution(self, rng):
-        base = rng.dirichlet(np.ones(4), size=6)
-        expert = rng.dirichlet(np.ones(4), size=6)
-        out = apply_ensembler(Ensembler("bagging"), base, expert)
-        np.testing.assert_allclose(out.sum(axis=1), np.ones(6), atol=1e-12)
+        ev = evaluate_dataset(random_model(rng, ensembler="bagging"), rng.normal(size=(6, 4)))
+        np.testing.assert_allclose(ev.combined.sum(axis=2), np.ones((3, 6)), atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["none", "bagging", "top2"])
+    def test_apply_ensembler_refuses_the_kinds_evaluate_dataset_combines(self, kind):
+        with pytest.raises(ShapeError, match="evaluate_dataset"):
+            apply_ensembler(Ensembler(kind), np.full((1, 2), 0.5), np.full((1, 2), 0.5))
 
     def test_stacking_with_identity_blocks_multiplies_probabilities(self):
         # weight [I | I] makes the logits log(b) + log(e), so the output is
@@ -235,6 +234,8 @@ def per_expert_reference(model: MoEModel, x: np.ndarray):
     rows = np.arange(len(x))
     combined = np.stack([
         0.5 * (experts[pair[:, 0], rows] + experts[pair[:, 1], rows]) if ens.kind == "top2"
+        else experts[j] if ens.kind == "none"
+        else 0.5 * (fp.probs + experts[j]) if ens.kind == "bagging"
         else apply_ensembler(ens, fp.probs, experts[j])
         for j, ens in enumerate(model.ensemblers)
     ])

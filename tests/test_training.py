@@ -488,6 +488,9 @@ class TestHashes:
             replace(plan, sgd_expert=replace(plan.sgd_expert, epochs=3))
         )
 
+    def test_plan_hash_is_stable_so_older_run_directories_resume(self):
+        assert plan_hash(small_plan()) == "3a663f23bee17304c781989b54a7b0b8394e1271626874973633466c08a730da"
+
     def test_dataset_hash_tracks_labels_and_features(self):
         ds = blob_dataset(seed=1, samples_per_mode=5)
         other = blob_dataset(seed=2, samples_per_mode=5)
@@ -513,6 +516,11 @@ class TestPlanValidation:
             small_plan(em_steps=-1).validate()
         with pytest.raises(ShapeError):
             small_plan(num_experts=0).validate()
+
+    def test_unknown_ensembler_fails_before_any_stage_is_written(self, tmp_path):
+        with pytest.raises(ValueError, match="boosting"):
+            run_pipeline(blob_dataset(seed=45, samples_per_mode=5), small_plan(ensembler="boosting"), tmp_path)
+        assert not any(tmp_path.iterdir())
 
 
 class TestPipeline:
