@@ -19,7 +19,7 @@ import numpy as np
 from .data import LabeledDataset
 from .errors import ShapeError
 from .model import Gate, ModelEval, MoEModel, evaluate_dataset, slot_macs, top1_slots
-from .nn import SgdConfig, forward_batch
+from .nn import ForwardPass, SgdConfig, forward_batch
 from .training import fit_gate
 
 POLICIES = ("alpha_threshold", "base_confidence", "gate_confidence", "learned_gate")
@@ -117,10 +117,9 @@ class _BatchOutcome:
     macs: np.ndarray  # [N] int
 
 
-def _predict_batch(model: MoEModel, ev: ModelEval, cfg: AnytimeConfig, d=None) -> _BatchOutcome:
-    """Combine, exit and count MACs for the policy's decision d (made from ev when not given)."""
-    cfg.validate()
-    exited, executed, weights = d or _decide(model, cfg, ev.base.probs, ev.gate_probs)
+def _predict_batch(model: MoEModel, ev: ModelEval, cfg: AnytimeConfig, d: tuple) -> _BatchOutcome:
+    """Combine, exit and count MACs for ``_decide``'s decision d under the policy of cfg."""
+    exited, executed, weights = d
     if exited.all():  # every row takes the base output, so skip the combine
         probs = ev.base.probs.copy()
     else:
@@ -165,16 +164,34 @@ def sweep_thresholds(
     taus: Sequence[float],
     policy: str = "alpha_threshold",
     renormalize: bool = True,
+    base: ForwardPass | None = None,
 ) -> TradeoffCurve:
-    """Accuracy / mean MACs / exit ratio at every threshold."""
-    ev = evaluate_dataset(model, ds.features)
+    """Accuracy / mean MACs / exit ratio at every threshold.
+
+    Each threshold's decision is made once, from one base and gate pass, and
+    each expert tail runs only on the rows that some threshold executes it on.
+    ``base`` is the base's forward pass over ``ds`` when the caller already holds it.
+    """
+    configs = [AnytimeConfig(float(tau), policy, renormalize) for tau in taus]
+    for cfg in configs:
+        cfg.validate()
+    decided = []
+
+    def select(base_probs: np.ndarray, gate_probs: np.ndarray) -> np.ndarray:
+        decided.extend(_decide(model, cfg, base_probs, gate_probs) for cfg in configs)
+        executed = np.zeros((len(base_probs), model.num_experts), dtype=bool)
+        for _, slots, _ in decided:
+            executed |= slots
+        return executed
+
+    ev = evaluate_dataset(model, ds.features, select, base)
     points = []
-    for tau in taus:
-        out = _predict_batch(model, ev, AnytimeConfig(float(tau), policy, renormalize))
+    for cfg, d in zip(configs, decided):
+        out = _predict_batch(model, ev, cfg, d)
         accuracy = float((out.probs.argmax(axis=1) == ds.labels).mean())
         points.append(
             CurvePoint(
-                tau=float(tau),
+                tau=cfg.tau,
                 accuracy=accuracy,
                 mean_macs=float(out.macs.mean()),
                 exit_ratio=float(out.exited.mean()),

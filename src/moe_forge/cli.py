@@ -26,7 +26,7 @@ from .analysis import (
 )
 from .anytime import POLICIES, AnytimeConfig, convex_envelope, sweep_thresholds
 from .data import LabeledDataset, SyntheticSpec, generate_synthetic, load_csv, split
-from .errors import ConfigError, DataError, MoeForgeError, PipelineError
+from .errors import ConfigError, DataError, MoeForgeError, PipelineError, ShapeError
 from .gate_init import initial_gate, per_class_assignment
 from .model import MoEModel, evaluate_dataset, load_model, save_model, slot_macs, top1_slots
 from .nn import ForwardPass, SgdConfig, forward_batch
@@ -218,11 +218,20 @@ def _top1_metrics(
     return accuracy, float(per_row.sum()) / len(ds)
 
 
+def _training_data(config: dict, config_path: str, plan: TrainPlan) -> list[LabeledDataset]:
+    """The parts of the config's data block; the first, the training set, must fit the plan."""
+    parts = _load_data_block(config["data"], "data", Path(config_path).resolve().parent)
+    try:
+        plan.check_data(parts[0])
+    except ShapeError as exc:
+        raise ConfigError(str(exc)) from exc
+    return parts
+
+
 def cmd_train(config_path: str) -> int:
     config = _load_config(config_path)
     plan = _plan_from_config(config)
-    parts = _load_data_block(config["data"], "data", Path(config_path).resolve().parent)
-    train_ds = parts[0]
+    train_ds = _training_data(config, config_path, plan)[0]
     out_dir = Path(config["output_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -292,7 +301,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     if args.taus:
         taus = [float(t) for t in args.taus.split(",")]
-        curve = sweep_thresholds(model, ds, taus, policy=args.policy)
+        curve = sweep_thresholds(model, ds, taus, policy=args.policy, base=fp)
         envelope = convex_envelope(curve.points)
         print(curve.to_csv(), end="")
         if out_dir is not None:
@@ -356,7 +365,7 @@ def _ablate_plan(plan: TrainPlan, axis: str, raw: str) -> tuple[TrainPlan, str]:
 def cmd_ablate(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
     base_plan = _plan_from_config(config)
-    parts = _load_data_block(config["data"], "data", Path(args.config).resolve().parent)
+    parts = _training_data(config, args.config, base_plan)
     train_ds = parts[0]
     eval_ds = parts[1] if len(parts) > 1 else parts[0]
     if args.axis not in _ABLATE_AXES:

@@ -109,6 +109,18 @@ class SgdConfig:
     lr_decay_factor: float = 5.0
     seed: int = 0
 
+    def validate(self) -> None:
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be non-negative, got {self.epochs}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"learning_rate must be positive, got {self.learning_rate}")
+        if not 0 <= self.momentum < 1:
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
+        if not self.lr_decay_factor > 0:
+            raise ValueError(f"lr_decay_factor must be positive, got {self.lr_decay_factor}")
+
 
 @dataclass
 class ForwardPass:

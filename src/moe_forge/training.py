@@ -102,6 +102,21 @@ class TrainPlan:
             raise ValueError(f"unknown routing {self.routing!r}")
         if self.em_steps < 0 or self.expert_epochs < 0:
             raise ValueError("em_steps and expert_epochs must be non-negative")
+        if self.temperature is not None and not self.temperature > 0:
+            raise ValueError(f"temperature must be positive, got {self.temperature}")
+        for name in ("sgd_base", "sgd_gate", "sgd_expert", "sgd_ensembler"):
+            try:
+                getattr(self, name).validate()
+            except ValueError as exc:
+                raise ValueError(f"{name}.{exc}") from exc
+
+    def check_data(self, ds: LabeledDataset) -> None:
+        """Raise ShapeError unless ``layer_dims`` fit the dataset's dimension and class count."""
+        if self.layer_dims[0] != ds.dim or self.layer_dims[-1] != ds.num_classes:
+            raise ShapeError(
+                f"layer_dims {self.layer_dims} do not match dataset "
+                f"(dim {ds.dim}, {ds.num_classes} classes)"
+            )
 
 
 @dataclass
@@ -441,11 +456,7 @@ def run_pipeline(
 ) -> PipelineResult:
     """Full training run with optional resumable stage checkpoints."""
     plan.validate()
-    if plan.layer_dims[0] != ds.dim or plan.layer_dims[-1] != ds.num_classes:
-        raise ShapeError(
-            f"layer_dims {plan.layer_dims} do not match dataset "
-            f"(dim {ds.dim}, {ds.num_classes} classes)"
-        )
+    plan.check_data(ds)
     out_path = Path(out_dir) if out_dir is not None else None
     store = _StageStore(out_path, plan_hash(plan), dataset_hash(ds))
     stages: list[StageRecord] = []

@@ -79,6 +79,18 @@ def with_exit_head(model: MoEModel, rng: np.random.Generator, x: np.ndarray) -> 
     )
 
 
+def mixed_model(rng, kinds, widths, exit_head=False) -> MoEModel:
+    """random_model's base and gate with [6 -> width -> 3] tails and the given ensembler kinds."""
+    scaffold = random_model(rng, num_experts=len(kinds))
+    experts = [random_network(rng, [6, width, 3]) for width in widths]
+    ensemblers = [
+        Ensembler(kind, rng.normal(size=(3, 6)), rng.normal(size=3)) if kind == "stacking" else Ensembler(kind)
+        for kind in kinds
+    ]
+    model = MoEModel(scaffold.base, scaffold.gate, experts, ensemblers, shared_prefix=1)
+    return with_exit_head(model, rng, rng.normal(size=(20, 4))) if exit_head else model
+
+
 def blob_dataset(
     seed: int = 0,
     num_classes: int = 3,

@@ -20,15 +20,17 @@ from moe_forge.anytime import (
     select_threshold,
     sweep_thresholds,
     train_exit_gate,
+    _decide,
     _predict_batch,
 )
 from moe_forge.data import LabeledDataset
+from moe_forge import anytime as anytime_mod
 from moe_forge import model as model_mod
 from moe_forge.errors import ShapeError
 from moe_forge.model import Ensembler, Gate, MoEModel, evaluate_dataset
 from moe_forge.nn import Layer, Network, SgdConfig, forward_batch
 
-from conftest import blob_dataset, random_model, random_network, with_exit_head
+from conftest import blob_dataset, mixed_model, random_model, random_network, with_exit_head
 
 
 def fixed_output_model(
@@ -507,7 +509,7 @@ class TestConditionalExecution:
             for policy in POLICIES:
                 for tau in POLICY_TAUS:
                     cfg = AnytimeConfig(tau=tau, policy=policy)
-                    want = _predict_batch(model, ev, cfg)
+                    want = _predict_batch(model, ev, cfg, _decide(model, cfg, ev.base.probs, ev.gate_probs))
                     got = anytime_predict(model, x[i], cfg)
                     assert np.array_equal(got.probs, want.probs[0])
                     assert got.exited == bool(want.exited[0])
@@ -568,3 +570,140 @@ class TestConditionalExecution:
                     assert max(blocks) - min(blocks) <= 1 and (n < 2 or min(blocks) >= 2)
                     runs.clear()
                     blocks.clear()
+
+
+def dense_curve(model: MoEModel, ds: LabeledDataset, taus, policy: str, renormalize: bool = True) -> TradeoffCurve:
+    """The sweep from one dense evaluation: every tail on every row, each threshold decided from it."""
+    ev = evaluate_dataset(model, ds.features)
+    points = []
+    for tau in taus:
+        cfg = AnytimeConfig(tau, policy, renormalize)
+        out = _predict_batch(model, ev, cfg, _decide(model, cfg, ev.base.probs, ev.gate_probs))
+        accuracy = float((out.probs.argmax(axis=1) == ds.labels).mean())
+        points.append(CurvePoint(tau, accuracy, float(out.macs.mean()), float(out.exited.mean())))
+    return TradeoffCurve(points)
+
+
+SWEEP_TAUS = (0.0, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
+SWEEP_MODELS = {  # ensembler kinds and tail widths
+    "none": (("none",) * 4, (6,) * 4),
+    "bagging": (("bagging",) * 4, (6,) * 4),
+    "stacking": (("stacking",) * 4, (6,) * 4),
+    "top2": (("top2",) * 4, (6,) * 4),
+    "mixed": (("top2", "stacking", "none", "bagging"), (5, 2, 5, 9)),
+}
+
+
+def distinct_tap_model(rng, kind: str) -> MoEModel:
+    """random_model with no relu zeros at the tap, so each row has its own tap bytes."""
+    model = random_model(rng, num_experts=4, ensembler=kind)
+    model.base.layers[0].bias += 10.0
+    return model
+
+
+class TestConditionalSweep:
+    """A sweep runs each expert tail only on the rows some threshold executes, with the dense curve."""
+
+    @pytest.mark.parametrize("renormalize", [True, False])
+    @pytest.mark.parametrize("kinds", SWEEP_MODELS)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_curve_equals_the_dense_sweep(self, rng, policy, kinds, renormalize):
+        model = mixed_model(rng, *SWEEP_MODELS[kinds], exit_head=True)
+        ds = blob_dataset(seed=64, samples_per_mode=20)
+        curve = sweep_thresholds(model, ds, SWEEP_TAUS, policy, renormalize)
+        assert curve == dense_curve(model, ds, SWEEP_TAUS, policy, renormalize)
+        assert any(0 < p.exit_ratio < 1 for p in curve.points)
+
+    @pytest.mark.parametrize("policy", ["base_confidence", "gate_confidence"])
+    @pytest.mark.parametrize("kind", ENSEMBLER_KINDS)
+    def test_top1_policies_run_the_top_tails_of_rows_that_do_not_always_exit(self, rng, monkeypatch, policy, kind):
+        model = distinct_tap_model(rng, kind)
+        ds = blob_dataset(seed=65, samples_per_mode=20)
+        fp = forward_batch(model.base, ds.features)
+        gate = model.gate.distribution_batch(fp.prelogits)
+        if policy == "base_confidence":  # exits where the base max reaches tau
+            cut = float(np.median(fp.probs.max(axis=1)))
+            taus, running = (0.0, cut / 2, cut), fp.probs.max(axis=1) < cut
+        else:  # exits where the gate max stays below tau
+            cut = float(np.median(gate.max(axis=1)))
+            taus, running = (cut, (cut + 1) / 2, 1.0), gate.max(axis=1) >= cut
+        assert 0 < running.sum() < len(ds)
+        order = np.argsort(-gate, axis=1, kind="stable")
+        tails = order[:, :2] if kind == "top2" else order[:, :1]
+        runs = count_tail_runs(monkeypatch, model)
+        curve = sweep_thresholds(model, ds, taus, policy)
+        assert runs == Counter({(int(j), fp.tap[i].tobytes()): 1 for i in np.flatnonzero(running) for j in tails[i]})
+        assert curve == dense_curve(model, ds, taus, policy)
+
+    @pytest.mark.parametrize("kind", ENSEMBLER_KINDS)
+    def test_alpha_sweep_with_tau_zero_runs_each_needed_tail_once(self, rng, monkeypatch, kind):
+        model = distinct_tap_model(rng, kind)
+        ds = blob_dataset(seed=66, samples_per_mode=20)
+        fp = forward_batch(model.base, ds.features)
+        taps = [row.tobytes() for row in fp.tap]
+        blocks = []
+        runs = count_tail_runs(monkeypatch, model, blocks)
+        sweep_thresholds(model, ds, SWEEP_TAUS)
+        if kind == "top2":  # top2 slots need only their row's top pair, each tail alone on its rows
+            gate = model.gate.distribution_batch(fp.prelogits)
+            pairs = np.argsort(-gate, axis=1, kind="stable")[:, :2]
+            assert runs == Counter({(int(j), taps[i]): 1 for i in range(len(ds)) for j in pairs[i]})
+            assert not blocks
+        else:  # every tail on every row, as one stack in row blocks
+            assert runs == Counter({(j, key): 1 for j in range(4) for key in taps})
+            assert sum(blocks) == len(ds)
+
+    @pytest.mark.parametrize(
+        "policy, taus",
+        [("alpha_threshold", (1.0,)), ("base_confidence", (0.0,)), ("gate_confidence", (1.0,)), ("alpha_threshold", ())],
+    )
+    def test_a_sweep_where_every_threshold_exits_runs_no_tail(self, rng, monkeypatch, policy, taus):
+        model = random_model(rng, num_experts=4)
+        ds = blob_dataset(seed=67, samples_per_mode=10)
+        runs = count_tail_runs(monkeypatch, model)
+        curve = sweep_thresholds(model, ds, taus, policy)
+        assert not runs
+        assert [p.exit_ratio for p in curve.points] == [1.0] * len(taus)
+
+    def test_learned_gate_without_an_exit_head_fails_before_any_tail_runs(self, rng, monkeypatch):
+        model = random_model(rng, num_experts=4)
+        runs = count_tail_runs(monkeypatch, model)
+        with pytest.raises(ShapeError, match="exit head"):
+            sweep_thresholds(model, blob_dataset(seed=68, samples_per_mode=10), [0.5], "learned_gate")
+        assert not runs
+
+    @pytest.mark.parametrize("policy", ["alpha_threshold", "base_confidence", "gate_confidence"])
+    def test_wide_tails_stay_within_rounding_of_the_dense_pass(self, rng, monkeypatch, policy):
+        base = random_network(rng, [16, 256, 256, 10])
+        experts = [random_network(rng, [256, 256, 10]) for _ in range(8)]
+        gate = Gate(weight=rng.normal(scale=0.1, size=(8, 256)), bias=rng.normal(size=8))
+        model = MoEModel(base, gate, experts, [Ensembler("bagging") for _ in range(8)], shared_prefix=1)
+        x = rng.normal(size=(300, 16))
+        dense = evaluate_dataset(model, x)
+        ds = LabeledDataset(x, dense.base.probs.argmax(axis=1), 10)
+        decides_on = {  # the quantity each policy compares with tau
+            "alpha_threshold": dense.gate_probs * (1.0 - dense.base.probs.max(axis=1))[:, None],
+            "base_confidence": dense.base.probs.max(axis=1),
+            "gate_confidence": dense.gate_probs.max(axis=1),
+        }
+        taus = np.quantile(decides_on[policy], [0.25, 0.5, 0.75]).tolist()
+        selected, evs = [], []
+        real_evaluate = anytime_mod.evaluate_dataset
+
+        def recording(model, x, select, base=None):
+            def recorded(base_probs, gate_probs):
+                selected.append(select(base_probs, gate_probs))
+                return selected[-1]
+
+            evs.append(real_evaluate(model, x, recorded, base))
+            return evs[-1]
+
+        monkeypatch.setattr(anytime_mod, "evaluate_dataset", recording)
+        curve = sweep_thresholds(model, ds, taus, policy)
+        (slots,), (ev,) = selected, evs
+        assert 0 < slots.sum() < slots.size
+        # A tail run on a subset of rows may round differently from the stacked dense pass.
+        for got, want in ((ev.expert_probs, dense.expert_probs), (ev.combined, dense.combined)):
+            np.testing.assert_allclose(got.transpose(1, 0, 2)[slots], want.transpose(1, 0, 2)[slots], rtol=0, atol=1e-12)
+        monkeypatch.undo()
+        assert curve == dense_curve(model, ds, taus, policy)

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import moe_forge.analysis as analysis
 import moe_forge.cli as cli
+import moe_forge.model as model_mod
 from moe_forge.analysis import gate_disagreement
 from moe_forge.anytime import CURVE_HEADER
 from moe_forge.cli import _plan_from_config, _top1_metrics, main
@@ -48,6 +50,24 @@ def make_config(tmp_path: Path, **overrides) -> Path:
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config, indent=1))
     return path
+
+
+def config_with(tmp_path: Path, block: str, key: str, value) -> Path:
+    """make_config's config with ``key`` of the dotted ``block`` set to ``value``."""
+    path = make_config(tmp_path)
+    doc = json.loads(path.read_text())
+    target = doc
+    for part in filter(None, block.split(".")):
+        target = target[part]
+    target[key] = value
+    path.write_text(json.dumps(doc))
+    return path
+
+
+# The two commands that train from a config: a command's first word, then its arguments after the config.
+TRAIN_OR_ABLATE = pytest.mark.parametrize(
+    "command", [["train"], ["ablate", "--axis", "gamma", "--values", "0.1"]], ids=["train", "ablate"]
+)
 
 
 def eval_data_file(tmp_path: Path) -> Path:
@@ -298,23 +318,39 @@ class TestEval:
     def test_one_base_pass_gives_the_figures_of_separate_passes(self, trained, tmp_path, capsys, monkeypatch):
         data = eval_data_file(tmp_path)
         out_dir = tmp_path / "analysis"
-        base_passes, given = [], []
+        base_passes, given, analyzing = [], [], []
         real_forward, real_evaluate = cli.forward_batch, cli.evaluate_dataset
+        real_sweep, real_analysis_evaluate = cli.sweep_thresholds, analysis.evaluate_dataset
 
         def counting_forward(net, x):
-            base_passes.append(len(x))
+            if not analyzing:  # the analysis tables still make their own dense passes
+                base_passes.append(len(x))
             return real_forward(net, x)
 
         def checking_evaluate(model, x, select=None, base=None):
             given.append(base is not None)
             return real_evaluate(model, x, select, base)
 
+        def checking_sweep(*args, base=None, **kwargs):
+            given.append(base is not None)
+            return real_sweep(*args, base=base, **kwargs)
+
+        def analysis_evaluate(*args):
+            analyzing.append(True)
+            try:
+                return real_analysis_evaluate(*args)
+            finally:
+                analyzing.pop()
+
         monkeypatch.setattr(cli, "forward_batch", counting_forward)
+        monkeypatch.setattr(model_mod, "forward_batch", counting_forward)
         monkeypatch.setattr(cli, "evaluate_dataset", checking_evaluate)
+        monkeypatch.setattr(cli, "sweep_thresholds", checking_sweep)
+        monkeypatch.setattr(analysis, "evaluate_dataset", analysis_evaluate)
         args = ["eval", str(trained), str(data), "--taus", "0,0.1,1", "--analyze", "--out", str(out_dir)]
         assert main(args) == 0
         stdout = capsys.readouterr().out
-        assert base_passes == [30] and given == [True]
+        assert base_passes == [30] and given == [True, True]
 
         # The same figures, each from its own base pass as separate commands would compute them.
         monkeypatch.undo()
@@ -532,16 +568,45 @@ class TestConfigErrors:
         ],
     )
     def test_value_of_the_wrong_type_exits_2_naming_the_key(self, tmp_path, capsys, block, key, value, message):
-        doc = json.loads(make_config(tmp_path).read_text())
-        target = doc
-        for part in filter(None, block.split(".")):
-            target = target[part]
-        target[key] = value
-        (tmp_path / "config.json").write_text(json.dumps(doc))
-        assert main(["train", str(tmp_path / "config.json")]) == 2
+        assert main(["train", str(config_with(tmp_path, block, key, value))]) == 2
         path = f"{block}.{key}" if block else key
         assert capsys.readouterr().err == f"error: key {path!r}: {message}\n"
         assert not (tmp_path / "run").exists()
+
+    @TRAIN_OR_ABLATE
+    @pytest.mark.parametrize(
+        "block, key, value, message",
+        [
+            ("train.sgd_base", "batch_size", 0, "sgd_base.batch_size must be at least 1, got 0"),
+            ("train.sgd_gate", "batch_size", -1, "sgd_gate.batch_size must be at least 1, got -1"),
+            ("train.sgd_expert", "epochs", -1, "sgd_expert.epochs must be non-negative, got -1"),
+            ("train.sgd_ensembler", "learning_rate", -1, "sgd_ensembler.learning_rate must be positive, got -1.0"),
+            ("train.sgd_base", "learning_rate", 0, "sgd_base.learning_rate must be positive, got 0.0"),
+            ("train.sgd_base", "momentum", 2.5, "sgd_base.momentum must lie in [0, 1), got 2.5"),
+            ("train.sgd_gate", "momentum", 1, "sgd_gate.momentum must lie in [0, 1), got 1.0"),
+            ("train.sgd_expert", "momentum", -0.1, "sgd_expert.momentum must lie in [0, 1), got -0.1"),
+            ("train.sgd_ensembler", "lr_decay_factor", 0, "sgd_ensembler.lr_decay_factor must be positive, got 0.0"),
+            ("model", "temperature", 0, "temperature must be positive, got 0.0"),
+            ("model", "temperature", -0.5, "temperature must be positive, got -0.5"),
+        ],
+    )
+    def test_out_of_range_value_exits_2_naming_the_key(self, tmp_path, capsys, command, block, key, value, message):
+        assert main([command[0], str(config_with(tmp_path, block, key, value)), *command[1:]]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "run").exists()
+
+    def test_zero_epochs_and_zero_momentum_stay_legal(self, tmp_path):
+        doc = json.loads(make_config(tmp_path).read_text())
+        doc["train"]["sgd_base"] = {"epochs": 0, "momentum": 0}
+        assert _plan_from_config(doc).sgd_base == SgdConfig(momentum=0.0, epochs=0)
+
+    @TRAIN_OR_ABLATE
+    def test_data_that_does_not_fit_layer_dims_exits_2(self, tmp_path, capsys, command):
+        assert main([command[0], str(config_with(tmp_path, "data.synthetic", "dim", 5)), *command[1:]]) == 2
+        assert capsys.readouterr().err == (
+            "error: layer_dims (4, 6, 3) do not match dataset (dim 5, 3 classes)\n"
+        )
+        assert not (tmp_path / "run").exists()  # so no stage file either
 
     def test_sgd_blocks_start_from_sgd_config_and_absent_ones_from_the_plan(self, tmp_path):
         doc = json.loads(make_config(tmp_path).read_text())

@@ -25,7 +25,7 @@ from moe_forge.model import (
 )
 from moe_forge.nn import forward_batch, init_network, softmax
 
-from conftest import random_model, random_network, with_exit_head
+from conftest import mixed_model, random_model, random_network, with_exit_head
 
 
 class TestGate:
@@ -240,18 +240,6 @@ def per_expert_reference(model: MoEModel, x: np.ndarray):
         for j, ens in enumerate(model.ensemblers)
     ])
     return fp, gate_probs, experts, combined
-
-
-def mixed_model(rng, kinds, widths, exit_head=False) -> MoEModel:
-    """random_model's base and gate with [6 -> width -> 3] tails and the given ensembler kinds."""
-    scaffold = random_model(rng, num_experts=len(kinds))
-    experts = [random_network(rng, [6, width, 3]) for width in widths]
-    ensemblers = [
-        Ensembler(kind, rng.normal(size=(3, 6)), rng.normal(size=3)) if kind == "stacking" else Ensembler(kind)
-        for kind in kinds
-    ]
-    model = MoEModel(scaffold.base, scaffold.gate, experts, ensemblers, shared_prefix=1)
-    return with_exit_head(model, rng, rng.normal(size=(20, 4))) if exit_head else model
 
 
 class TestStackedTails:
