@@ -14,10 +14,8 @@ from .anytime import (
     anytime_predict,
     anytime_scores,
     convex_envelope,
-    ilp_exit_assignment,
     select_threshold,
     sweep_thresholds,
-    train_exit_gate,
 )
 from .data import LabeledDataset, SyntheticSpec, generate_synthetic, load_csv, split, weighted_batches
 from .gate_init import (

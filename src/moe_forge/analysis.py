@@ -9,7 +9,7 @@ import numpy as np
 
 from .data import LabeledDataset
 from .errors import ShapeError
-from .model import MoEModel, evaluate_dataset
+from .model import ModelEval
 from .nn import PROB_FLOOR
 
 
@@ -55,17 +55,17 @@ class ReliabilityTable:
         return "\n".join(lines) + "\n"
 
 
-def specialization_table(model: MoEModel, ds: LabeledDataset) -> SpecializationTable:
+def specialization_table(ev: ModelEval, ds: LabeledDataset) -> SpecializationTable:
     """Assign every sample to the raw expert with the lowest cross-entropy.
 
-    Equivalently the expert giving the true class the highest probability;
+    ``ev`` is the model's dense evaluation of ``ds``.  The winner is
+    equivalently the expert giving the true class the highest probability;
     ties go to the lower expert index.
     """
-    ev = evaluate_dataset(model, ds.features)
     rows = np.arange(len(ds))
     true_probs = ev.expert_probs[:, rows, ds.labels]  # [K, N]
     winner = true_probs.argmax(axis=0)
-    counts = np.zeros((model.num_experts, ds.num_classes), dtype=np.int64)
+    counts = np.zeros((len(ev.expert_probs), ds.num_classes), dtype=np.int64)
     np.add.at(counts, (winner, ds.labels), 1)
     return SpecializationTable(counts=counts)
 
@@ -96,30 +96,26 @@ def reliability_table(
     return ReliabilityTable(bin_edges=edges, counts=counts, accuracy=accuracy)
 
 
-def model_reliability(model: MoEModel, ds: LabeledDataset, num_bins: int = 10) -> ReliabilityTable:
-    """Reliability of the full soft mixture's top-1 confidence."""
-    ev = evaluate_dataset(model, ds.features)
-    gate = ev.gate_probs[:, : model.num_experts]
-    mixture = np.einsum("nk,knc->nc", gate, ev.combined)
+def model_reliability(ev: ModelEval, ds: LabeledDataset, num_bins: int = 10) -> ReliabilityTable:
+    """Reliability of the full soft mixture's top-1 confidence; ``ev`` is the dense evaluation of ``ds``."""
+    mixture = np.einsum("nk,knc->nc", ev.gate_probs, ev.combined)
     confidence = mixture.max(axis=1)
     correct = mixture.argmax(axis=1) == ds.labels
     return reliability_table(np.clip(confidence, 0.0, 1.0), correct, num_bins)
 
 
-def oracle_per_class_eval(
-    model: MoEModel, class_map: np.ndarray, ds: LabeledDataset
-) -> float:
+def oracle_per_class_eval(ev: ModelEval, class_map: np.ndarray, ds: LabeledDataset) -> float:
     """Accuracy when each sample is routed by its TRUE class's expert.
 
     Upper-bounds what per-class routing can achieve once gate mistakes
-    are removed; the ensembled expert outputs are used.
+    are removed; the ensembled expert outputs of ``ev``, the dense
+    evaluation of ``ds``, are used.
     """
     class_map = np.asarray(class_map, dtype=np.int64)
     if class_map.shape != (ds.num_classes,):
         raise ShapeError(f"class_map must have one entry per class ({ds.num_classes})")
-    if class_map.min() < 0 or class_map.max() >= model.num_experts:
+    if class_map.min() < 0 or class_map.max() >= len(ev.combined):
         raise ShapeError("class_map references an absent expert")
-    ev = evaluate_dataset(model, ds.features)
     rows = np.arange(len(ds))
     routed = ev.combined[class_map[ds.labels], rows]
     return float((routed.argmax(axis=1) == ds.labels).mean())

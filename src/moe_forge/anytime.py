@@ -17,12 +17,10 @@ from typing import Sequence
 import numpy as np
 
 from .data import LabeledDataset
-from .errors import ShapeError
-from .model import Gate, ModelEval, MoEModel, evaluate_dataset, slot_macs, top1_slots
-from .nn import ForwardPass, SgdConfig, forward_batch
-from .training import fit_gate
+from .model import ModelEval, MoEModel, evaluate_dataset, slot_macs, top1_slots
+from .nn import ForwardPass
 
-POLICIES = ("alpha_threshold", "base_confidence", "gate_confidence", "learned_gate")
+POLICIES = ("alpha_threshold", "base_confidence", "gate_confidence")
 
 CURVE_HEADER = "tau,accuracy,mean_macs,exit_ratio"
 
@@ -76,23 +74,21 @@ def anytime_scores(model: MoEModel, x: np.ndarray) -> np.ndarray:
     """Per-expert scores: gate weight times (1 - max base class probability)."""
     run_none = lambda base_probs, gate_probs: np.zeros((1, model.num_experts), dtype=bool)
     ev = evaluate_dataset(model, np.asarray(x, dtype=np.float64)[None, :], run_none)
-    return _scores(model, ev.base.probs, ev.gate_probs)[0]
+    return _scores(ev.base.probs, ev.gate_probs)[0]
 
 
-def _scores(model: MoEModel, base_probs: np.ndarray, gate_probs: np.ndarray) -> np.ndarray:
-    uncertainty = 1.0 - base_probs.max(axis=1)
-    return gate_probs[:, : model.num_experts] * uncertainty[:, None]
+def _scores(base_probs: np.ndarray, gate_probs: np.ndarray) -> np.ndarray:
+    return gate_probs * (1.0 - base_probs.max(axis=1))[:, None]
 
 
 def _decide(model: MoEModel, cfg: AnytimeConfig, base_probs: np.ndarray, gate_probs: np.ndarray):
     """Exit mask [N], executed slots [N, K], mixing weights [N, K] (None: the one slot as is)."""
-    gate = gate_probs[:, : model.num_experts]
     if cfg.policy == "alpha_threshold":
-        executed = _scores(model, base_probs, gate_probs) >= cfg.tau
+        executed = _scores(base_probs, gate_probs) >= cfg.tau
         exited = ~executed.any(axis=1)
         if exited.all():  # no row mixes anything, so every weight is zero
-            return exited, executed, np.zeros_like(gate)
-        weights = np.where(executed, gate, 0.0)
+            return exited, executed, np.zeros_like(gate_probs)
+        weights = np.where(executed, gate_probs, 0.0)
         if cfg.renormalize:
             mass = weights.sum(axis=1, keepdims=True)
             weights = np.divide(weights, mass, out=np.zeros_like(weights), where=mass > 0)
@@ -100,12 +96,8 @@ def _decide(model: MoEModel, cfg: AnytimeConfig, base_probs: np.ndarray, gate_pr
     # The other policies run the gate's argmax expert unless the row exits.
     if cfg.policy == "base_confidence":
         exited = base_probs.max(axis=1) >= cfg.tau
-    elif cfg.policy == "gate_confidence":
-        exited = gate.max(axis=1) < cfg.tau
-    else:  # learned_gate: the extra gate head votes for exiting; tau is unused.
-        if not model.has_exit_head:
-            raise ShapeError("learned_gate policy needs a gate with an exit head (K+1 rows)")
-        exited = gate_probs.argmax(axis=1) == model.num_experts
+    else:  # gate_confidence
+        exited = gate_probs.max(axis=1) < cfg.tau
     return exited, top1_slots(model, gate_probs) & ~exited[:, None], None
 
 
@@ -254,54 +246,3 @@ def select_threshold(
     ref_acc = curve.points[0].accuracy
     passing = [p.tau for p in curve.points[1:] if p.accuracy >= ref_acc - max_accuracy_drop]
     return max(passing, default=0.0)
-
-
-def ilp_exit_assignment(model: MoEModel, ds: LabeledDataset, tau: float) -> np.ndarray:
-    """Budgeted exit labels maximizing true-class probability.
-
-    Exactly floor(tau * N) samples exit: those where the base model beats
-    the full gate-weighted mixture by the largest margin (ties take the
-    lower sample index).  Separable objective + cardinality constraint
-    makes the greedy top-margin choice optimal.
-    """
-    if not 0.0 <= tau <= 1.0:
-        raise ValueError(f"tau must lie in [0, 1], got {tau}")
-    ev = evaluate_dataset(model, ds.features)
-    n = len(ds)
-    rows = np.arange(n)
-    gate = ev.gate_probs[:, : model.num_experts]
-    mixture = np.einsum("nk,knc->nc", gate, ev.combined)
-    delta = ev.base.probs[rows, ds.labels] - mixture[rows, ds.labels]
-    budget = int(math.floor(tau * n + 1e-9))
-    order = np.argsort(-delta, kind="stable")
-    ee = np.zeros(n, dtype=np.int64)
-    ee[order[:budget]] = 1
-    return ee
-
-
-def train_exit_gate(
-    model: MoEModel, ds: LabeledDataset, exit_labels: np.ndarray, cfg: SgdConfig
-) -> Gate:
-    """Extend the gate with an exit head and fit it to the exit labels.
-
-    Samples labeled 1 target the new head; the rest keep targeting the
-    expert the original gate would have picked.  Warm-starts from the
-    trained gate with a zeroed exit row.
-    """
-    exit_labels = np.asarray(exit_labels, dtype=np.int64)
-    if exit_labels.shape != (len(ds),):
-        raise ShapeError("exit_labels must be 1-d with one entry per sample")
-    if model.has_exit_head:
-        raise ShapeError("model gate already has an exit head")
-    k = model.num_experts
-    fp = forward_batch(model.base, ds.features)
-    gate_probs = model.gate.distribution_batch(fp.prelogits)
-    chosen = gate_probs.argmax(axis=1)
-    target_index = np.where(exit_labels == 1, k, chosen)
-    targets = np.zeros((len(ds), k + 1))
-    targets[np.arange(len(ds)), target_index] = 1.0
-    start = Gate(
-        weight=np.vstack([model.gate.weight, np.zeros((1, model.gate.in_dim))]),
-        bias=np.append(model.gate.bias, 0.0),
-    )
-    return fit_gate(fp.prelogits, targets, cfg, start)

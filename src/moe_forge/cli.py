@@ -193,9 +193,9 @@ def _load_config(path: str | Path) -> dict:
     if not path.exists():
         raise ConfigError(f"file not found: {path}")
     try:
-        config = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+        config = jsonio.load_json(path)
+    except PipelineError as exc:
+        raise ConfigError(str(exc)) from exc
     if not isinstance(config, dict):
         raise ConfigError(f"{path}: top level must be a JSON object")
     return config
@@ -312,18 +312,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.analyze:
         if out_dir is None:
             raise ConfigError("--analyze needs --out DIR")
-        spec_table = specialization_table(model, ds)
+        ev = evaluate_dataset(model, ds.features, base=fp)
+        spec_table = specialization_table(ev, ds)
         (out_dir / "specialization.csv").write_text(spec_table.to_csv())
         (out_dir / "specialization_per_class.csv").write_text(spec_table.per_class().to_csv())
-        reliability = model_reliability(model, ds, num_bins=args.num_bins)
+        reliability = model_reliability(ev, ds, num_bins=args.num_bins)
         (out_dir / "reliability.csv").write_text(reliability.to_csv())
         wrote = ["specialization.csv", "specialization_per_class.csv", "reliability.csv"]
         if model.centroids is not None:
             init = initial_gate(fp.prelogits, model.centroids, model.temperature)
-            trained = model.gate.distribution_batch(fp.prelogits)[:, : model.num_experts]
             report = gate_disagreement(
                 init.weights.argmax(axis=1),
-                trained.argmax(axis=1),
+                ev.gate_probs.argmax(axis=1),
                 ds.labels,
                 num_experts=model.num_experts,
             )
@@ -332,7 +332,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
                 "fraction\n" + repr(report.fraction) + "\n"
             )
             class_map, _ = per_class_assignment(init, ds.labels)
-            oracle_acc = oracle_per_class_eval(model, class_map, ds)
+            oracle_acc = oracle_per_class_eval(ev, class_map, ds)
             print(f"gate disagreement vs clustering: {report.fraction:.4f}")
             print(f"oracle per-class accuracy: {oracle_acc:.4f}")
             wrote += ["disagreement.csv", "disagreement_transitions.csv"]

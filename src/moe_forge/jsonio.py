@@ -138,11 +138,18 @@ def save_json(path: str | Path, obj: Any, indent: int | None = None) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _non_finite(token: str) -> None:
+    raise PipelineError(f"non-finite number {token} (NaN and Infinity are not JSON)")
+
+
 def load_json(path: str | Path) -> Any:
+    """The document in the file at ``path``; invalid JSON, NaN or Infinity raise PipelineError naming it."""
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_constant=_non_finite)
     except json.JSONDecodeError as exc:
         raise PipelineError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
+    except PipelineError as exc:
+        raise PipelineError(f"{path}: {exc}") from exc
 
 
 def check_format_version(doc: dict, expected: int, context: str) -> None:

@@ -37,11 +37,7 @@ _BLOCK_ROWS = 256
 
 @dataclass
 class Gate:
-    """Linear-softmax router over the base pre-logit embedding.
-
-    Rows equal the expert count, or expert count + 1 when an extra
-    early-exit head has been added.
-    """
+    """Linear-softmax router over the base pre-logit embedding, one row per expert."""
 
     weight: np.ndarray  # [rows, prelogit_dim]
     bias: np.ndarray  # [rows]
@@ -166,9 +162,12 @@ class MoEModel:
                 f"gate expects dim {self.gate.in_dim}, base pre-logits have dim "
                 f"{self.base.prelogit_dim}"
             )
-        if self.gate.rows not in (len(self.experts), len(self.experts) + 1):
+        if self.gate.rows != len(self.experts):
+            raise ShapeError(f"gate has {self.gate.rows} rows, must have one per expert (K={len(self.experts)})")
+        if self.centroids is not None and self.centroids.means.shape != (len(self.experts), self.base.prelogit_dim):
             raise ShapeError(
-                f"gate rows {self.gate.rows} must be K={len(self.experts)} or K+1"
+                f"centroids have shape {self.centroids.means.shape}, must be "
+                f"(K={len(self.experts)}, base pre-logit dim {self.base.prelogit_dim})"
             )
         for k, ens in enumerate(self.ensemblers):
             if ens.kind == "stacking" and ens.weight.shape[0] != self.base.output_dim:
@@ -181,10 +180,6 @@ class MoEModel:
     @property
     def num_classes(self) -> int:
         return self.base.output_dim
-
-    @property
-    def has_exit_head(self) -> bool:
-        return self.gate.rows == len(self.experts) + 1
 
     # -- per-sample operations ------------------------------------------------
 
@@ -200,7 +195,7 @@ class MoEModel:
         """Route to the gate's argmax expert; ties pick the lower index."""
         select = lambda base_probs, gate_probs: top1_slots(self, gate_probs)
         ev = evaluate_dataset(self, np.asarray(x, dtype=np.float64)[None, :], select)
-        chosen = int(ev.gate_probs[0, : self.num_experts].argmax())
+        chosen = int(ev.gate_probs[0].argmax())
         return ev.combined[chosen, 0], chosen
 
 
@@ -293,9 +288,9 @@ def apply_ensembler(ens: Ensembler, base_probs: np.ndarray, expert_probs: np.nda
     return softmax(stacking_inputs(base_probs, expert_probs) @ ens.weight.T + ens.bias)
 
 
-def _top_pair(gate_probs: np.ndarray, k: int) -> np.ndarray:
-    """[N, 2] gate's two strongest of the first k columns; with one expert, that expert twice."""
-    return np.argsort(-gate_probs[:, :k], axis=1, kind="stable")[:, [0, min(1, k - 1)]]
+def _top_pair(gate_probs: np.ndarray) -> np.ndarray:
+    """[N, 2] gate's two strongest experts; with one expert, that expert twice."""
+    return np.argsort(-gate_probs, axis=1, kind="stable")[:, [0, min(1, gate_probs.shape[1] - 1)]]
 
 
 @dataclass
@@ -303,19 +298,19 @@ class ModelEval:
     """Cached per-dataset forward passes shared by inference and analysis."""
 
     base: ForwardPass
-    gate_probs: np.ndarray  # [N, rows]
+    gate_probs: np.ndarray  # [N, K]
     expert_probs: np.ndarray  # [K, N, C] raw expert outputs, zero where a tail did not run
     combined: np.ndarray  # [K, N, C] ensembled outputs e'_k, zero where a slot did not run
 
     @cached_property
     def top_pair(self) -> np.ndarray:
         """[N, 2] gate's two strongest experts, computed on first read."""
-        return _top_pair(self.gate_probs, len(self.combined))
+        return _top_pair(self.gate_probs)
 
 
 def top1_slots(model: MoEModel, gate_probs: np.ndarray) -> np.ndarray:
     """[N, K] one-hot slots of the gate's argmax expert; ties pick the lower index."""
-    chosen = gate_probs[:, : model.num_experts].argmax(axis=1)
+    chosen = gate_probs.argmax(axis=1)
     return np.arange(model.num_experts) == chosen[:, None]
 
 
@@ -326,7 +321,7 @@ def _slot_tails(model: MoEModel, gate_probs: np.ndarray, slots: np.ndarray) -> n
     top2 = model._top2
     tails = slots & ~top2
     rows = slots[:, top2].any(axis=1)
-    pair = _top_pair(gate_probs[rows], model.num_experts)
+    pair = _top_pair(gate_probs[rows])
     tails[rows, pair[:, 0]] = True
     tails[rows, pair[:, 1]] = True
     return tails

@@ -274,8 +274,7 @@ def e_step(base_pass: ForwardPass, gate: Gate, experts: list[Network], labels: n
     run can report how often that happened.
     """
     k = len(experts)
-    gate_probs = gate.distribution_batch(base_pass.prelogits)[:, :k]
-    joint = gate_probs * _expert_likelihood(base_pass, experts, labels)
+    joint = gate.distribution_batch(base_pass.prelogits) * _expert_likelihood(base_pass, experts, labels)
     mass = joint.sum(axis=1, keepdims=True)
     zero = mass[:, 0] <= 0.0
     q = np.where(zero[:, None], 1.0 / k, joint / np.where(mass > 0, mass, 1.0))
@@ -307,7 +306,7 @@ def elbo(
     base_pass: ForwardPass, gate: Gate, experts: list[Network], posterior: Posterior, labels: np.ndarray
 ) -> float:
     """Mean evidence lower bound: E_q[log expert likelihood] - KL(q || gate)."""
-    gate_probs = gate.distribution_batch(base_pass.prelogits)[:, : len(experts)]
+    gate_probs = gate.distribution_batch(base_pass.prelogits)
     log_like = np.log(np.maximum(_expert_likelihood(base_pass, experts, labels), PROB_FLOOR))
     q = posterior.q
     safe_q = np.where(q > 0, q, 1.0)
@@ -629,7 +628,7 @@ def _write_diagnostics(
         lines.append(f"{k},{int((argmax == k).sum())},{repr(float(targets[:, k].sum()))}")
     (diag / "expert_mass.csv").write_text("\n".join(lines) + "\n")
 
-    trained = model.gate.distribution_batch(result.base_pass.prelogits)[:, : model.num_experts]
+    trained = model.gate.distribution_batch(result.base_pass.prelogits)
     report = gate_disagreement(argmax, trained.argmax(axis=1), ds.labels, model.num_experts)
     changed = len(ds) - int(report.transition_counts.trace())
     (diag / "gate_disagreement.csv").write_text(

@@ -64,22 +64,7 @@ def random_model(
     return MoEModel(base=base, gate=gate, experts=experts, ensemblers=ens, shared_prefix=1)
 
 
-def with_exit_head(model: MoEModel, rng: np.random.Generator, x: np.ndarray) -> MoEModel:
-    """The same model with a random exit row added to its gate; it wins on about half of x."""
-    prelogits = forward_batch(model.base, x).prelogits
-    exit_weight = rng.normal(size=model.gate.in_dim)
-    best_expert = (prelogits @ model.gate.weight.T + model.gate.bias).max(axis=1)
-    gate = Gate(
-        weight=np.vstack([model.gate.weight, exit_weight]),
-        bias=np.append(model.gate.bias, np.median(best_expert - prelogits @ exit_weight)),
-    )
-    return MoEModel(
-        base=model.base, gate=gate, experts=model.experts,
-        ensemblers=model.ensemblers, shared_prefix=model.shared_prefix,
-    )
-
-
-def mixed_model(rng, kinds, widths, exit_head=False) -> MoEModel:
+def mixed_model(rng, kinds, widths) -> MoEModel:
     """random_model's base and gate with [6 -> width -> 3] tails and the given ensembler kinds."""
     scaffold = random_model(rng, num_experts=len(kinds))
     experts = [random_network(rng, [6, width, 3]) for width in widths]
@@ -87,8 +72,7 @@ def mixed_model(rng, kinds, widths, exit_head=False) -> MoEModel:
         Ensembler(kind, rng.normal(size=(3, 6)), rng.normal(size=3)) if kind == "stacking" else Ensembler(kind)
         for kind in kinds
     ]
-    model = MoEModel(scaffold.base, scaffold.gate, experts, ensemblers, shared_prefix=1)
-    return with_exit_head(model, rng, rng.normal(size=(20, 4))) if exit_head else model
+    return MoEModel(scaffold.base, scaffold.gate, experts, ensemblers, shared_prefix=1)
 
 
 def blob_dataset(

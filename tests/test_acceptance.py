@@ -9,7 +9,6 @@ pinned seeds, so their accuracy margins are exact reruns, not samples.
 
 from __future__ import annotations
 
-import itertools
 import json
 import time
 from functools import lru_cache
@@ -21,11 +20,11 @@ from conftest import blob_dataset, random_model, staged_recipe
 from test_nn import max_grad_rel_error, sample_safe_case
 
 from moe_forge.analysis import oracle_per_class_eval
-from moe_forge.anytime import AnytimeConfig, anytime_predict, ilp_exit_assignment, sweep_thresholds
+from moe_forge.anytime import AnytimeConfig, anytime_predict, sweep_thresholds
 from moe_forge.cli import _load_data_block, _plan_from_config, main
 from moe_forge.data import LabeledDataset, SyntheticSpec, generate_synthetic, split
 from moe_forge.gate_init import smooth_weights
-from moe_forge.model import ExecutionTrace, mac_count, save_model
+from moe_forge.model import ExecutionTrace, evaluate_dataset, mac_count, save_model
 from moe_forge.nn import SgdConfig, forward_batch
 from moe_forge.training import (
     TrainPlan,
@@ -151,10 +150,8 @@ def _ordering_plan(
 
 def _routed_accuracy(model, ds: LabeledDataset) -> float:
     """Top-1 accuracy under the gate's argmax expert choice."""
-    from moe_forge.model import evaluate_dataset
-
     ev = evaluate_dataset(model, ds.features)
-    chosen = ev.gate_probs[:, : model.num_experts].argmax(axis=1)
+    chosen = ev.gate_probs.argmax(axis=1)
     probs = ev.combined[chosen, np.arange(len(ds))]
     return float((probs.argmax(axis=1) == ds.labels).mean())
 
@@ -195,7 +192,8 @@ def _overlap_orderings() -> dict[str, float]:
         acc["none"].append(_routed_accuracy(none.model, test))
         acc["stacking"].append(_routed_accuracy(stack.model, test))
         acc["per_class"].append(_routed_accuracy(per_class.model, test))
-        acc["oracle"].append(oracle_per_class_eval(per_class.model, per_class.class_map, test))
+        oracle_ev = evaluate_dataset(per_class.model, test.features)
+        acc["oracle"].append(oracle_per_class_eval(oracle_ev, per_class.class_map, test))
     return {key: float(np.mean(vals)) for key, vals in acc.items()}
 
 
@@ -244,43 +242,6 @@ def test_threshold_one_is_the_base_model_and_zero_runs_every_expert():
     elapsed = time.perf_counter() - start
     _report("threshold-extremes", bitwise and exact,
             f"{len(test)} samples, tau=1 acc {curve.points[0].accuracy:.4f} == base", elapsed, 10.0)
-
-
-def test_greedy_exit_assignment_matches_exhaustive_subset_search():
-    from moe_forge.model import evaluate_dataset
-
-    start = time.perf_counter()
-    rng = np.random.default_rng(99)
-    instances = 0
-    while instances < 500:
-        n = int(rng.integers(1, 13))
-        classes = int(rng.integers(2, 5))
-        model = random_model(rng, in_dim=3, hidden=4, num_classes=classes,
-                             num_experts=int(rng.integers(2, 4)))
-        ds = LabeledDataset(
-            features=rng.normal(size=(n, 3)),
-            labels=rng.integers(0, classes, size=n),
-            num_classes=classes,
-        )
-        ev = evaluate_dataset(model, ds.features)
-        gate = ev.gate_probs[:, : model.num_experts]
-        mixture = np.einsum("nk,knc->nc", gate, ev.combined)
-        rows = np.arange(n)
-        delta = ev.base.probs[rows, ds.labels] - mixture[rows, ds.labels]
-
-        for budget in range(n + 1):
-            ee = ilp_exit_assignment(model, ds, tau=budget / n)
-            assert int(ee.sum()) == budget
-            greedy_value = float(delta[ee == 1].sum())
-            best = max(float(delta[list(combo)].sum())
-                       for combo in itertools.combinations(range(n), budget))
-            assert greedy_value == best, (
-                f"n={n} budget={budget}: greedy {greedy_value!r} != optimum {best!r}"
-            )
-        instances += 1
-    elapsed = time.perf_counter() - start
-    _report("exit-assignment-optimality", True,
-            "500 instances, every budget, exact", elapsed, 30.0)
 
 
 def test_every_expert_receives_samples_and_training_weight():

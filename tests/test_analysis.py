@@ -23,8 +23,8 @@ class TestSpecialization:
     def test_matches_a_per_sample_loss_loop(self, rng):
         model = random_model(rng)
         ds = blob_dataset(seed=101, samples_per_mode=12)
-        table = specialization_table(model, ds)
         ev = evaluate_dataset(model, ds.features)
+        table = specialization_table(ev, ds)
         expected = np.zeros((model.num_experts, ds.num_classes), dtype=np.int64)
         for i in range(len(ds)):
             losses = [
@@ -44,7 +44,7 @@ class TestSpecialization:
         features = rng.normal(size=(30, 4))
         labels = np.repeat(np.arange(3), 10).astype(np.int64)
         ds = LabeledDataset(features=features, labels=labels, num_classes=3)
-        table = specialization_table(model, ds)
+        table = specialization_table(evaluate_dataset(model, ds.features), ds)
         np.testing.assert_array_equal(table.counts, np.eye(3, dtype=np.int64) * 10)
 
     def test_per_class_view_normalizes_columns(self):
@@ -124,7 +124,7 @@ class TestReliability:
     def test_model_reliability_runs_on_a_real_model(self, rng):
         model = random_model(rng)
         ds = blob_dataset(seed=111, samples_per_mode=20)
-        table = model_reliability(model, ds, num_bins=5)
+        table = model_reliability(evaluate_dataset(model, ds.features), ds, num_bins=5)
         assert table.counts.sum() == len(ds)
 
 
@@ -133,8 +133,8 @@ class TestOraclePerClass:
         model = random_model(rng)
         ds = blob_dataset(seed=121, samples_per_mode=10)
         class_map = np.array([0, 2, 1])
-        acc = oracle_per_class_eval(model, class_map, ds)
         ev = evaluate_dataset(model, ds.features)
+        acc = oracle_per_class_eval(ev, class_map, ds)
         hits = 0
         for i in range(len(ds)):
             expert = class_map[ds.labels[i]]
@@ -144,18 +144,19 @@ class TestOraclePerClass:
     def test_single_expert_oracle_equals_that_experts_accuracy(self, rng):
         model = random_model(rng, num_experts=1)
         ds = blob_dataset(seed=122, samples_per_mode=10)
-        acc = oracle_per_class_eval(model, np.zeros(3, dtype=np.int64), ds)
         ev = evaluate_dataset(model, ds.features)
+        acc = oracle_per_class_eval(ev, np.zeros(3, dtype=np.int64), ds)
         expected = (ev.combined[0].argmax(axis=1) == ds.labels).mean()
         assert acc == pytest.approx(expected, abs=1e-12)
 
     def test_bad_class_map_rejected(self, rng):
         model = random_model(rng)
         ds = blob_dataset(seed=123, samples_per_mode=5)
+        ev = evaluate_dataset(model, ds.features)
         with pytest.raises(ShapeError):
-            oracle_per_class_eval(model, np.zeros(2, dtype=np.int64), ds)
+            oracle_per_class_eval(ev, np.zeros(2, dtype=np.int64), ds)
         with pytest.raises(ShapeError):
-            oracle_per_class_eval(model, np.array([0, 1, 5]), ds)
+            oracle_per_class_eval(ev, np.array([0, 1, 5]), ds)
 
 
 class TestGateDisagreement:

@@ -1,6 +1,5 @@
-"""Early-exit prediction, threshold sweeps, envelopes, and exit-gate training."""
+"""Early-exit prediction, threshold sweeps and envelopes."""
 
-import itertools
 import math
 from collections import Counter
 
@@ -16,21 +15,18 @@ from moe_forge.anytime import (
     anytime_predict,
     anytime_scores,
     convex_envelope,
-    ilp_exit_assignment,
     select_threshold,
     sweep_thresholds,
-    train_exit_gate,
     _decide,
     _predict_batch,
 )
 from moe_forge.data import LabeledDataset
 from moe_forge import anytime as anytime_mod
 from moe_forge import model as model_mod
-from moe_forge.errors import ShapeError
 from moe_forge.model import Ensembler, Gate, MoEModel, evaluate_dataset
-from moe_forge.nn import Layer, Network, SgdConfig, forward_batch
+from moe_forge.nn import Layer, Network, forward_batch
 
-from conftest import blob_dataset, mixed_model, random_model, random_network, with_exit_head
+from conftest import blob_dataset, mixed_model, random_model, random_network
 
 
 def fixed_output_model(
@@ -162,11 +158,6 @@ class TestOtherPolicies:
         sure = anytime_predict(model, np.zeros(4), policy(0.6))
         assert not sure.exited
         assert sure.executed_experts == (0,)
-
-    def test_learned_gate_policy_needs_an_exit_head(self, rng):
-        model = random_model(rng)
-        with pytest.raises(ShapeError, match="exit head"):
-            anytime_predict(model, rng.normal(size=4), AnytimeConfig(tau=0.5, policy="learned_gate"))
 
 
 class TestSweep:
@@ -360,108 +351,6 @@ class TestSelectThreshold:
         assert select_threshold(model, ds, taus, drop) == expected
 
 
-def exit_objective(model, ds, ee) -> float:
-    """True-class probability achieved by a given exit labeling."""
-    ev = evaluate_dataset(model, ds.features)
-    rows = np.arange(len(ds))
-    gate = ev.gate_probs[:, : model.num_experts]
-    mixture = np.einsum("nk,knc->nc", gate, ev.combined)
-    base_true = ev.base.probs[rows, ds.labels]
-    mix_true = mixture[rows, ds.labels]
-    return float(np.where(ee == 1, base_true, mix_true).sum())
-
-
-class TestExitAssignment:
-    def test_budget_is_the_floor_of_tau_n(self, rng):
-        model = random_model(rng)
-        ds = blob_dataset(seed=81, samples_per_mode=5)  # 15 samples
-        for tau, budget in [(0.0, 0), (0.5, 7), (1.0, 15), (0.2, 3), (0.9, 13)]:
-            ee = ilp_exit_assignment(model, ds, tau)
-            assert ee.sum() == budget
-
-    def test_matches_exhaustive_search_over_all_exit_sets(self, rng):
-        model = random_model(rng)
-        ds = blob_dataset(seed=82, samples_per_mode=4)  # 12 samples
-        for tau in (0.25, 0.5, 0.75):
-            ee = ilp_exit_assignment(model, ds, tau)
-            budget = int(ee.sum())
-            achieved = exit_objective(model, ds, ee)
-            best = -math.inf
-            for subset in itertools.combinations(range(len(ds)), budget):
-                candidate = np.zeros(len(ds), dtype=np.int64)
-                candidate[list(subset)] = 1
-                best = max(best, exit_objective(model, ds, candidate))
-            assert achieved == pytest.approx(best, abs=1e-12)
-
-    def test_ties_exit_the_lowest_sample_indices(self):
-        model = fixed_output_model()
-        features = np.tile(np.ones(4), (6, 1))  # identical samples, identical margins
-        ds = LabeledDataset(features=features, labels=np.zeros(6, dtype=np.int64), num_classes=2)
-        ee = ilp_exit_assignment(model, ds, 0.5)
-        np.testing.assert_array_equal(ee, [1, 1, 1, 0, 0, 0])
-
-    def test_invalid_tau_rejected(self, rng):
-        model = random_model(rng)
-        ds = blob_dataset(seed=83, samples_per_mode=3)
-        with pytest.raises(ValueError):
-            ilp_exit_assignment(model, ds, 1.5)
-
-
-class TestExitGateTraining:
-    def setup_method(self):
-        self.ds = blob_dataset(seed=91, samples_per_mode=40)
-        self.rng = np.random.default_rng(0)
-        self.model = random_model(self.rng)
-        self.cfg = SgdConfig(learning_rate=0.5, epochs=80, seed=0)
-
-    def extended(self, exit_labels) -> MoEModel:
-        gate = train_exit_gate(self.model, self.ds, exit_labels, self.cfg)
-        return MoEModel(
-            base=self.model.base,
-            gate=gate,
-            experts=self.model.experts,
-            ensemblers=self.model.ensemblers,
-            shared_prefix=self.model.shared_prefix,
-        )
-
-    def exit_ratio(self, model) -> float:
-        curve = sweep_thresholds(model, self.ds, [0.5], policy="learned_gate")
-        return curve.points[0].exit_ratio
-
-    def test_never_exit_labels_keep_the_exit_head_quiet(self):
-        model = self.extended(np.zeros(len(self.ds), dtype=np.int64))
-        assert self.exit_ratio(model) <= 0.05
-
-    def test_always_exit_labels_dominate(self):
-        model = self.extended(np.ones(len(self.ds), dtype=np.int64))
-        assert self.exit_ratio(model) >= 0.95
-
-    def test_linearly_separable_labels_are_learned(self):
-        from moe_forge.nn import forward_batch
-
-        prelogits = forward_batch(self.model.base, self.ds.features).prelogits
-        labels = (prelogits[:, 0] > np.median(prelogits[:, 0])).astype(np.int64)
-        model = self.extended(labels)
-        ev = evaluate_dataset(model, self.ds.features)
-        predicted_exit = ev.gate_probs.argmax(axis=1) == model.num_experts
-        assert (predicted_exit == labels.astype(bool)).mean() >= 0.9
-        # Samples that stay keep routing to the expert the old gate picked.
-        old = evaluate_dataset(self.model, self.ds.features).gate_probs.argmax(axis=1)
-        stay = ~predicted_exit
-        new_choice = ev.gate_probs[:, : model.num_experts].argmax(axis=1)
-        assert (new_choice[stay] == old[stay]).mean() >= 0.9
-
-    def test_existing_exit_head_rejected(self):
-        labels = np.zeros(len(self.ds), dtype=np.int64)
-        extended = self.extended(labels)
-        with pytest.raises(ShapeError, match="already"):
-            train_exit_gate(extended, self.ds, labels, self.cfg)
-
-    def test_misshapen_labels_rejected(self):
-        with pytest.raises(ShapeError):
-            train_exit_gate(self.model, self.ds, np.zeros(3, dtype=np.int64), self.cfg)
-
-
 ENSEMBLER_KINDS = ("none", "bagging", "stacking", "top2")
 POLICY_TAUS = (0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 
@@ -502,7 +391,7 @@ class TestConditionalExecution:
     @pytest.mark.parametrize("kind", ENSEMBLER_KINDS)
     def test_per_sample_paths_equal_the_dense_evaluation(self, rng, kind):
         x = rng.normal(size=(25, 4))
-        model = with_exit_head(random_model(rng, num_experts=4, ensembler=kind), rng, x)
+        model = random_model(rng, num_experts=4, ensembler=kind)
         seen = {policy: set() for policy in POLICIES}
         for i in range(len(x)):
             ev = evaluate_dataset(model, x[i : i + 1])
@@ -517,7 +406,7 @@ class TestConditionalExecution:
                     assert got.macs == int(want.macs[0])
                     seen[policy].add(got.exited)
             probs, chosen = model.top1_predict(x[i])
-            assert chosen == int(ev.gate_probs[0, :4].argmax())
+            assert chosen == int(ev.gate_probs[0].argmax())
             assert np.array_equal(probs, ev.combined[chosen, 0])
             for k in range(4):
                 assert np.array_equal(model.ensemble_output(k, x[i]), ev.combined[k, 0])
@@ -608,7 +497,7 @@ class TestConditionalSweep:
     @pytest.mark.parametrize("kinds", SWEEP_MODELS)
     @pytest.mark.parametrize("policy", POLICIES)
     def test_curve_equals_the_dense_sweep(self, rng, policy, kinds, renormalize):
-        model = mixed_model(rng, *SWEEP_MODELS[kinds], exit_head=True)
+        model = mixed_model(rng, *SWEEP_MODELS[kinds])
         ds = blob_dataset(seed=64, samples_per_mode=20)
         curve = sweep_thresholds(model, ds, SWEEP_TAUS, policy, renormalize)
         assert curve == dense_curve(model, ds, SWEEP_TAUS, policy, renormalize)
@@ -664,13 +553,6 @@ class TestConditionalSweep:
         curve = sweep_thresholds(model, ds, taus, policy)
         assert not runs
         assert [p.exit_ratio for p in curve.points] == [1.0] * len(taus)
-
-    def test_learned_gate_without_an_exit_head_fails_before_any_tail_runs(self, rng, monkeypatch):
-        model = random_model(rng, num_experts=4)
-        runs = count_tail_runs(monkeypatch, model)
-        with pytest.raises(ShapeError, match="exit head"):
-            sweep_thresholds(model, blob_dataset(seed=68, samples_per_mode=10), [0.5], "learned_gate")
-        assert not runs
 
     @pytest.mark.parametrize("policy", ["alpha_threshold", "base_confidence", "gate_confidence"])
     def test_wide_tails_stay_within_rounding_of_the_dense_pass(self, rng, monkeypatch, policy):

@@ -6,21 +6,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import moe_forge.analysis as analysis
 import moe_forge.cli as cli
 import moe_forge.model as model_mod
-from moe_forge.analysis import gate_disagreement
+from moe_forge.analysis import gate_disagreement, model_reliability, oracle_per_class_eval, specialization_table
 from moe_forge.anytime import CURVE_HEADER
 from moe_forge.cli import _plan_from_config, _top1_metrics, main
 from moe_forge.data import LabeledDataset, generate_synthetic, save_csv
 from moe_forge.errors import ConfigError
-from moe_forge.gate_init import initial_gate
+from moe_forge.gate_init import initial_gate, per_class_assignment
 from moe_forge.jsonio import load_json
 from moe_forge.model import evaluate_dataset, load_model, save_model, slot_macs, top1_slots
 from moe_forge.nn import SgdConfig, forward_batch
 from moe_forge.training import TrainPlan, run_pipeline
 
-from conftest import blob_dataset, random_model, with_exit_head
+from conftest import blob_dataset, random_model
 
 
 def make_config(tmp_path: Path, **overrides) -> Path:
@@ -244,6 +243,7 @@ class TestEval:
             ({"split": 0.5}, "key 'split': expected an object, got a number"),
             ({"take": "0"}, "key 'take': expected an integer, got a string"),
             ({"epochs": 3}, "unknown key epochs"),
+            ({"take": float("nan")}, "non-finite number NaN"),
         ],
     )
     def test_data_file_errors_exit_2_naming_the_key(self, trained, tmp_path, capsys, extra, key):
@@ -318,13 +318,11 @@ class TestEval:
     def test_one_base_pass_gives_the_figures_of_separate_passes(self, trained, tmp_path, capsys, monkeypatch):
         data = eval_data_file(tmp_path)
         out_dir = tmp_path / "analysis"
-        base_passes, given, analyzing = [], [], []
-        real_forward, real_evaluate = cli.forward_batch, cli.evaluate_dataset
-        real_sweep, real_analysis_evaluate = cli.sweep_thresholds, analysis.evaluate_dataset
+        base_passes, given = [], []
+        real_forward, real_evaluate, real_sweep = cli.forward_batch, cli.evaluate_dataset, cli.sweep_thresholds
 
         def counting_forward(net, x):
-            if not analyzing:  # the analysis tables still make their own dense passes
-                base_passes.append(len(x))
+            base_passes.append(len(x))
             return real_forward(net, x)
 
         def checking_evaluate(model, x, select=None, base=None):
@@ -335,22 +333,15 @@ class TestEval:
             given.append(base is not None)
             return real_sweep(*args, base=base, **kwargs)
 
-        def analysis_evaluate(*args):
-            analyzing.append(True)
-            try:
-                return real_analysis_evaluate(*args)
-            finally:
-                analyzing.pop()
-
         monkeypatch.setattr(cli, "forward_batch", counting_forward)
         monkeypatch.setattr(model_mod, "forward_batch", counting_forward)
         monkeypatch.setattr(cli, "evaluate_dataset", checking_evaluate)
         monkeypatch.setattr(cli, "sweep_thresholds", checking_sweep)
-        monkeypatch.setattr(analysis, "evaluate_dataset", analysis_evaluate)
         args = ["eval", str(trained), str(data), "--taus", "0,0.1,1", "--analyze", "--out", str(out_dir)]
         assert main(args) == 0
         stdout = capsys.readouterr().out
-        assert base_passes == [30] and given == [True, True]
+        # One base pass: the top-1 pass, the sweep and the analysis tables' dense pass all reuse it.
+        assert base_passes == [30] and given == [True, True, True]
 
         # The same figures, each from its own base pass as separate commands would compute them.
         monkeypatch.undo()
@@ -370,25 +361,35 @@ class TestEval:
             f"mean MACs (top-1 routing): {float(macs.sum()) / len(ds):.1f}",
         ]
         prelogits = forward_batch(model.base, ds.features).prelogits
+        init = initial_gate(prelogits, model.centroids, model.temperature)
         report = gate_disagreement(
-            initial_gate(prelogits, model.centroids, model.temperature).weights.argmax(axis=1),
-            model.gate.distribution_batch(prelogits)[:, : model.num_experts].argmax(axis=1),
+            init.weights.argmax(axis=1),
+            model.gate.distribution_batch(prelogits).argmax(axis=1),
             ds.labels,
             num_experts=model.num_experts,
         )
         assert (out_dir / "disagreement_transitions.csv").read_text() == report.transitions_csv()
         assert (out_dir / "disagreement.csv").read_text() == f"fraction\n{report.fraction!r}\n"
         assert f"gate disagreement vs clustering: {report.fraction:.4f}" in lines
+        table = specialization_table(evaluate_dataset(model, ds.features), ds)
+        assert (out_dir / "specialization.csv").read_text() == table.to_csv()
+        reliability = model_reliability(evaluate_dataset(model, ds.features), ds)
+        assert (out_dir / "reliability.csv").read_text() == reliability.to_csv()
+        oracle = oracle_per_class_eval(evaluate_dataset(model, ds.features), per_class_assignment(init, ds.labels)[0], ds)
+        assert f"oracle per-class accuracy: {oracle:.4f}" in lines
+
+    def test_learned_gate_policy_is_not_offered(self, trained, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", str(trained), str(eval_data_file(tmp_path)), "--taus", "0.5", "--policy", "learned_gate"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'learned_gate'" in capsys.readouterr().err
 
 
 class TestTop1Metrics:
     @pytest.mark.parametrize("kind", ["none", "bagging", "stacking", "top2"])
-    @pytest.mark.parametrize("exit_head", [False, True])
-    def test_routed_pass_equals_the_dense_pass(self, rng, kind, exit_head):
+    def test_routed_pass_equals_the_dense_pass(self, rng, kind):
         x = rng.normal(size=(60, 4))
         model = random_model(rng, num_experts=4, ensembler=kind)
-        if exit_head:
-            model = with_exit_head(model, rng, x)
         ds = LabeledDataset(x, rng.integers(3, size=60), 3)
         dense = evaluate_dataset(model, x)
         slots = top1_slots(model, dense.gate_probs)
@@ -601,6 +602,13 @@ class TestConfigErrors:
         assert _plan_from_config(doc).sgd_base == SgdConfig(momentum=0.0, epochs=0)
 
     @TRAIN_OR_ABLATE
+    def test_non_finite_number_exits_2_before_any_output(self, tmp_path, capsys, command):
+        config = config_with(tmp_path, "train.sgd_base", "lr_decay_factor", float("inf"))
+        assert main([command[0], str(config), *command[1:]]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {config}: non-finite number Infinity")
+        assert not (tmp_path / "run").exists()
+
+    @TRAIN_OR_ABLATE
     def test_data_that_does_not_fit_layer_dims_exits_2(self, tmp_path, capsys, command):
         assert main([command[0], str(config_with(tmp_path, "data.synthetic", "dim", 5)), *command[1:]]) == 2
         assert capsys.readouterr().err == (
@@ -676,3 +684,16 @@ class TestMalformedCheckpoints:
     def test_parts_that_do_not_fit_together(self, doc, tmp_path, capsys):
         doc["experts"] = doc["experts"][:2]
         assert "one ensembler per expert" in self.eval_doc(tmp_path, capsys, doc)
+
+    def test_a_gate_with_an_exit_row(self, doc, tmp_path, capsys):
+        doc["gate"].update(rows=4, weight=doc["gate"]["weight"] + [0.0] * 6, bias=doc["gate"]["bias"] + [0.0])
+        assert "gate has 4 rows, must have one per expert (K=3)" in self.eval_doc(tmp_path, capsys, doc)
+
+    def test_centroids_of_the_wrong_dim(self, doc, tmp_path, capsys):
+        doc["centroids"] = {"k": 3, "dim": 5, "means": [0.0] * 15}
+        assert "centroids have shape (3, 5)" in self.eval_doc(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("value, token", [(float("nan"), "NaN"), (float("-inf"), "-Infinity")])
+    def test_non_finite_weight(self, doc, tmp_path, capsys, value, token):
+        doc["base"]["weights"][0][3] = value
+        assert f"non-finite number {token}" in self.eval_doc(tmp_path, capsys, doc)

@@ -1,4 +1,4 @@
-"""The JSON encoder: the bulk float-array path against the generic list path, and atomic saves."""
+"""The JSON encoder: the bulk float-array path against the generic list path, atomic saves, and the reader."""
 
 import json
 from pathlib import Path
@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from moe_forge import jsonio
+from moe_forge.errors import PipelineError
 from moe_forge.jsonio import _encode, dumps, load_json, save_json
 from moe_forge.model import load_model, model_to_doc, save_model
 
@@ -166,6 +167,15 @@ class TestSaveJson:
         save_json(tmp_path / "many.json", doc)
         assert (tmp_path / "many.json").read_bytes() == (tmp_path / "one.json").read_bytes()
         assert (tmp_path / "many.json").read_text() == dumps(doc) + "\n"
+
+
+class TestLoadJson:
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_are_rejected_naming_the_file(self, tmp_path, token):
+        path = tmp_path / "doc.json"
+        path.write_text(f'{{"weights": [0.5, {token}]}}')
+        with pytest.raises(PipelineError, match=f"^{path}: non-finite number {token} "):
+            load_json(path)
 
 
 class TestFragment:

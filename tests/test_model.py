@@ -25,7 +25,7 @@ from moe_forge.model import (
 )
 from moe_forge.nn import forward_batch, init_network, softmax
 
-from conftest import mixed_model, random_model, random_network, with_exit_head
+from conftest import mixed_model, random_model, random_network
 
 
 class TestGate:
@@ -226,11 +226,10 @@ class TestModelOutputs:
 
 def per_expert_reference(model: MoEModel, x: np.ndarray):
     """Every tail alone through forward_batch on all rows, then every slot combined alone."""
-    k = model.num_experts
     fp = forward_batch(model.base, x)
     gate_probs = model.gate.distribution_batch(fp.prelogits)
     experts = np.stack([forward_batch(e, fp.tap).probs for e in model.experts])
-    pair = np.argsort(-gate_probs[:, :k], axis=1, kind="stable")[:, :2]
+    pair = np.argsort(-gate_probs, axis=1, kind="stable")[:, :2]
     rows = np.arange(len(x))
     combined = np.stack([
         0.5 * (experts[pair[:, 0], rows] + experts[pair[:, 1], rows]) if ens.kind == "top2"
@@ -245,15 +244,14 @@ def per_expert_reference(model: MoEModel, x: np.ndarray):
 class TestStackedTails:
     """Tails of equal shapes run as one stack, bit for bit what each tail gives alone."""
 
-    @pytest.mark.parametrize("exit_head", [False, True], ids=["k_rows", "exit_head"])
     @pytest.mark.parametrize("widths", [(6, 6, 6, 6), (5, 2, 5, 9)], ids=["one_stack", "three_stacks"])
     @pytest.mark.parametrize(
         "kinds",
         [("none",) * 4, ("bagging",) * 4, ("stacking",) * 4, ("top2",) * 4, ("top2", "stacking", "none", "bagging")],
         ids=["none", "bagging", "stacking", "top2", "mixed"],
     )
-    def test_dense_pass_equals_each_tail_alone(self, rng, kinds, widths, exit_head):
-        model = mixed_model(rng, kinds, widths, exit_head)
+    def test_dense_pass_equals_each_tail_alone(self, rng, kinds, widths):
+        model = mixed_model(rng, kinds, widths)
         block = model_mod._BLOCK_ROWS
         x = rng.normal(size=(2 * block + 1, 4))
         for n in (0, 1, 2, block, block + 1, 2 * block + 1):
@@ -331,30 +329,21 @@ class TestModelValidation:
                 shared_prefix=2,
             )
 
-    def test_gate_row_count_must_be_k_or_k_plus_one(self, rng):
+    @pytest.mark.parametrize("rows", [2, 4, 5])
+    def test_gate_needs_one_row_per_expert(self, rng, rows):
         model = random_model(rng)
-        bad_gate = Gate(weight=np.zeros((5, 6)), bias=np.zeros(5))
-        with pytest.raises(ShapeError):
-            MoEModel(
-                base=model.base,
-                gate=bad_gate,
-                experts=model.experts,
-                ensemblers=model.ensemblers,
-                shared_prefix=1,
-            )
+        bad_gate = Gate(weight=np.zeros((rows, 6)), bias=np.zeros(rows))
+        with pytest.raises(ShapeError, match=f"gate has {rows} rows, must have one per expert"):
+            MoEModel(model.base, bad_gate, model.experts, model.ensemblers, shared_prefix=1)
 
-    def test_exit_head_gate_accepted(self, rng):
+    @pytest.mark.parametrize("shape", [(3, 5), (2, 6), (4, 6)])
+    def test_centroids_need_one_row_per_expert_of_the_prelogit_dim(self, rng, shape):
         model = random_model(rng)
-        wide_gate = Gate(weight=np.zeros((4, 6)), bias=np.zeros(4))
-        extended = MoEModel(
-            base=model.base,
-            gate=wide_gate,
-            experts=model.experts,
-            ensemblers=model.ensemblers,
-            shared_prefix=1,
-        )
-        assert extended.has_exit_head
-        assert extended.cost.macs_gate == 6 * 4
+        with pytest.raises(ShapeError, match=rf"centroids have shape \({shape[0]}, {shape[1]}\)"):
+            MoEModel(
+                model.base, model.gate, model.experts, model.ensemblers, shared_prefix=1,
+                centroids=Centroids(means=rng.normal(size=shape)),
+            )
 
 
 class TestModelCheckpoint:
