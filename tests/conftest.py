@@ -75,6 +75,12 @@ def mixed_model(rng, kinds, widths) -> MoEModel:
     return MoEModel(scaffold.base, scaffold.gate, experts, ensemblers, shared_prefix=1)
 
 
+def tie_gate(model: MoEModel) -> None:
+    """Make the gate ignore its input: the odd experts tie on top, the even ones below them."""
+    model.gate.weight[:] = 0.0
+    model.gate.bias[:] = np.arange(model.num_experts) % 2
+
+
 def blob_dataset(
     seed: int = 0,
     num_classes: int = 3,

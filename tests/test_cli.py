@@ -19,7 +19,7 @@ from moe_forge.model import evaluate_dataset, load_model, save_model, slot_macs,
 from moe_forge.nn import SgdConfig, forward_batch
 from moe_forge.training import TrainPlan, run_pipeline
 
-from conftest import blob_dataset, random_model
+from conftest import blob_dataset, random_model, tie_gate
 
 
 def make_config(tmp_path: Path, **overrides) -> Path:
@@ -66,6 +66,11 @@ def config_with(tmp_path: Path, block: str, key: str, value) -> Path:
 # The two commands that train from a config: a command's first word, then its arguments after the config.
 TRAIN_OR_ABLATE = pytest.mark.parametrize(
     "command", [["train"], ["ablate", "--axis", "gamma", "--values", "0.1"]], ids=["train", "ablate"]
+)
+
+# Each non-finite float and the token JSON spells it with.
+NON_FINITE = pytest.mark.parametrize(
+    "value, token", [(float("nan"), "NaN"), (float("inf"), "Infinity"), (float("-inf"), "-Infinity")]
 )
 
 
@@ -244,6 +249,8 @@ class TestEval:
             ({"take": "0"}, "key 'take': expected an integer, got a string"),
             ({"epochs": 3}, "unknown key epochs"),
             ({"take": float("nan")}, "non-finite number NaN"),
+            ({"take": float("inf")}, "non-finite number Infinity"),
+            ({"take": float("-inf")}, "non-finite number -Infinity"),
         ],
     )
     def test_data_file_errors_exit_2_naming_the_key(self, trained, tmp_path, capsys, extra, key):
@@ -387,9 +394,12 @@ class TestEval:
 
 class TestTop1Metrics:
     @pytest.mark.parametrize("kind", ["none", "bagging", "stacking", "top2"])
-    def test_routed_pass_equals_the_dense_pass(self, rng, kind):
+    @pytest.mark.parametrize("tied", [False, True], ids=["random_gate", "tied_gate"])
+    def test_routed_pass_equals_the_dense_pass(self, rng, kind, tied):
         x = rng.normal(size=(60, 4))
         model = random_model(rng, num_experts=4, ensembler=kind)
+        if tied:  # every row routes to expert 1, the lower index of the tied top experts
+            tie_gate(model)
         ds = LabeledDataset(x, rng.integers(3, size=60), 3)
         dense = evaluate_dataset(model, x)
         slots = top1_slots(model, dense.gate_probs)
@@ -601,11 +611,12 @@ class TestConfigErrors:
         doc["train"]["sgd_base"] = {"epochs": 0, "momentum": 0}
         assert _plan_from_config(doc).sgd_base == SgdConfig(momentum=0.0, epochs=0)
 
+    @NON_FINITE
     @TRAIN_OR_ABLATE
-    def test_non_finite_number_exits_2_before_any_output(self, tmp_path, capsys, command):
-        config = config_with(tmp_path, "train.sgd_base", "lr_decay_factor", float("inf"))
+    def test_non_finite_number_exits_2_before_any_output(self, tmp_path, capsys, command, value, token):
+        config = config_with(tmp_path, "train.sgd_base", "lr_decay_factor", value)
         assert main([command[0], str(config), *command[1:]]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {config}: non-finite number Infinity")
+        assert capsys.readouterr().err.startswith(f"error: {config}: non-finite number {token}")
         assert not (tmp_path / "run").exists()
 
     @TRAIN_OR_ABLATE
@@ -693,7 +704,7 @@ class TestMalformedCheckpoints:
         doc["centroids"] = {"k": 3, "dim": 5, "means": [0.0] * 15}
         assert "centroids have shape (3, 5)" in self.eval_doc(tmp_path, capsys, doc)
 
-    @pytest.mark.parametrize("value, token", [(float("nan"), "NaN"), (float("-inf"), "-Infinity")])
+    @NON_FINITE
     def test_non_finite_weight(self, doc, tmp_path, capsys, value, token):
         doc["base"]["weights"][0][3] = value
         assert f"non-finite number {token}" in self.eval_doc(tmp_path, capsys, doc)

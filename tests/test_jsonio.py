@@ -177,6 +177,13 @@ class TestLoadJson:
         with pytest.raises(PipelineError, match=f"^{path}: non-finite number {token} "):
             load_json(path)
 
+    @pytest.mark.parametrize("text, value", [('"NaN"', "NaN"), ("-1e308", -1e308), ("-0.0", -0.0)])
+    def test_finite_extremes_and_strings_that_spell_nan_load(self, tmp_path, text, value):
+        path = tmp_path / "doc.json"
+        path.write_text(f'{{"value": {text}}}')
+        loaded = load_json(path)["value"]
+        assert loaded == value and repr(loaded) == repr(value)
+
 
 class TestFragment:
     @pytest.mark.parametrize("ensembler", ["bagging", "stacking"])

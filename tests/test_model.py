@@ -25,7 +25,7 @@ from moe_forge.model import (
 )
 from moe_forge.nn import forward_batch, init_network, softmax
 
-from conftest import mixed_model, random_model, random_network
+from conftest import mixed_model, random_model, random_network, tie_gate
 
 
 class TestGate:
@@ -250,8 +250,11 @@ class TestStackedTails:
         [("none",) * 4, ("bagging",) * 4, ("stacking",) * 4, ("top2",) * 4, ("top2", "stacking", "none", "bagging")],
         ids=["none", "bagging", "stacking", "top2", "mixed"],
     )
-    def test_dense_pass_equals_each_tail_alone(self, rng, kinds, widths):
+    @pytest.mark.parametrize("tied", [False, True], ids=["random_gate", "tied_gate"])
+    def test_dense_pass_equals_each_tail_alone(self, rng, kinds, widths, tied):
         model = mixed_model(rng, kinds, widths)
+        if tied:  # every top2 row runs the pair (1, 3), the lower indices of the tied experts
+            tie_gate(model)
         block = model_mod._BLOCK_ROWS
         x = rng.normal(size=(2 * block + 1, 4))
         for n in (0, 1, 2, block, block + 1, 2 * block + 1):
