@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .data import LabeledDataset
-from .model import ModelEval, MoEModel, evaluate_dataset, slot_macs, top1_slots
-from .nn import ForwardPass
+from .model import MoEModel, evaluate_dataset, slot_macs, top1_slots
+from .nn import ForwardPass, forward_batch
 
 POLICIES = ("alpha_threshold", "base_confidence", "gate_confidence")
 
@@ -72,9 +72,8 @@ class TradeoffCurve:
 
 def anytime_scores(model: MoEModel, x: np.ndarray) -> np.ndarray:
     """Per-expert scores: gate weight times (1 - max base class probability)."""
-    run_none = lambda base_probs, gate_probs: np.zeros((1, model.num_experts), dtype=bool)
-    ev = evaluate_dataset(model, np.asarray(x, dtype=np.float64)[None, :], run_none)
-    return _scores(ev.base.probs, ev.gate_probs)[0]
+    fp = forward_batch(model.base, np.asarray(x, dtype=np.float64)[None, :])
+    return _scores(fp.probs, model.gate.distribution_batch(fp.prelogits))[0]
 
 
 def _scores(base_probs: np.ndarray, gate_probs: np.ndarray) -> np.ndarray:
@@ -109,22 +108,43 @@ class _BatchOutcome:
     macs: np.ndarray  # [N] int
 
 
-def _predict_batch(model: MoEModel, ev: ModelEval, cfg: AnytimeConfig, d: tuple) -> _BatchOutcome:
-    """Combine, exit and count MACs for ``_decide``'s decision d under the policy of cfg."""
-    exited, executed, weights = d
-    if exited.all():  # every row takes the base output, so skip the combine
-        probs = ev.base.probs.copy()
-    else:
-        if weights is None:
-            probs = ev.combined[executed.argmax(axis=1), np.arange(len(exited))]
-        else:
-            probs = np.einsum("nk,knc->nc", weights, ev.combined)
-        probs[exited] = ev.base.probs[exited]
-    # base_confidence's exit test only needs the base output, so its exits skip the gate.
-    gate_ran = ~exited if cfg.policy == "base_confidence" else True
+def _predict_batch(
+    model: MoEModel, x: np.ndarray, configs: Sequence[AnytimeConfig], base: ForwardPass | None = None
+) -> list[_BatchOutcome]:
+    """Decide, run, combine and count MACs for every config over the rows of x.
+
+    Every config is decided from one base and gate pass, and each expert tail
+    runs only on the rows that some config executes it on.  ``base`` is the
+    base's forward pass over ``x`` when the caller already holds it.
+    """
+    for cfg in configs:
+        cfg.validate()
+    decided = []
+
+    def select(base_probs: np.ndarray, gate_probs: np.ndarray) -> np.ndarray:
+        decided.extend([_decide(model, cfg, base_probs, gate_probs) for cfg in configs])
+        executed = decided[0][1] if decided else np.zeros((len(base_probs), model.num_experts), dtype=bool)
+        for _, slots, _ in decided[1:]:
+            executed = executed | slots
+        return executed
+
+    ev = evaluate_dataset(model, x, select, base)
     cost = model.cost
-    macs = cost.macs_base + gate_ran * cost.macs_gate + slot_macs(model, ev.gate_probs, executed)
-    return _BatchOutcome(probs, exited, executed, macs)
+    outcomes = []
+    for cfg, (exited, executed, weights) in zip(configs, decided):
+        if exited.all():  # every row takes the base output, so skip the combine
+            probs = ev.base.probs.copy()
+        else:
+            if weights is None:
+                probs = ev.combined[executed.argmax(axis=1), np.arange(len(exited))]
+            else:
+                probs = np.einsum("nk,knc->nc", weights, ev.combined)
+            probs[exited] = ev.base.probs[exited]
+        # base_confidence's exit test only needs the base output, so its exits skip the gate.
+        gate_ran = ~exited if cfg.policy == "base_confidence" else True
+        macs = cost.macs_base + gate_ran * cost.macs_gate + slot_macs(model, ev.gate_probs, executed)
+        outcomes.append(_BatchOutcome(probs, exited, executed, macs))
+    return outcomes
 
 
 def anytime_predict(model: MoEModel, x: np.ndarray, cfg: AnytimeConfig) -> PredictOutcome:
@@ -133,15 +153,7 @@ def anytime_predict(model: MoEModel, x: np.ndarray, cfg: AnytimeConfig) -> Predi
     tau=1 always exits (scores never reach 1), reproducing the base
     model's output exactly; tau=0 never exits and runs every expert.
     """
-    cfg.validate()
-    decided = []
-
-    def select(base_probs: np.ndarray, gate_probs: np.ndarray) -> np.ndarray:
-        decided.append(_decide(model, cfg, base_probs, gate_probs))
-        return decided[0][1]
-
-    ev = evaluate_dataset(model, np.asarray(x, dtype=np.float64)[None, :], select)
-    out = _predict_batch(model, ev, cfg, decided[0])
+    (out,) = _predict_batch(model, np.asarray(x, dtype=np.float64)[None, :], [cfg])
     return PredictOutcome(
         probs=out.probs[0],
         exited=bool(out.exited[0]),
@@ -158,38 +170,16 @@ def sweep_thresholds(
     renormalize: bool = True,
     base: ForwardPass | None = None,
 ) -> TradeoffCurve:
-    """Accuracy / mean MACs / exit ratio at every threshold.
+    """Accuracy / mean MACs / exit ratio at every threshold, all from one ``_predict_batch``.
 
-    Each threshold's decision is made once, from one base and gate pass, and
-    each expert tail runs only on the rows that some threshold executes it on.
     ``base`` is the base's forward pass over ``ds`` when the caller already holds it.
     """
     configs = [AnytimeConfig(float(tau), policy, renormalize) for tau in taus]
-    for cfg in configs:
-        cfg.validate()
-    decided = []
-
-    def select(base_probs: np.ndarray, gate_probs: np.ndarray) -> np.ndarray:
-        decided.extend(_decide(model, cfg, base_probs, gate_probs) for cfg in configs)
-        executed = np.zeros((len(base_probs), model.num_experts), dtype=bool)
-        for _, slots, _ in decided:
-            executed |= slots
-        return executed
-
-    ev = evaluate_dataset(model, ds.features, select, base)
     points = []
-    for cfg, d in zip(configs, decided):
-        out = _predict_batch(model, ev, cfg, d)
+    for cfg, out in zip(configs, _predict_batch(model, ds.features, configs, base)):
         accuracy = float((out.probs.argmax(axis=1) == ds.labels).mean())
-        points.append(
-            CurvePoint(
-                tau=cfg.tau,
-                accuracy=accuracy,
-                mean_macs=float(out.macs.mean()),
-                exit_ratio=float(out.exited.mean()),
-            )
-        )
-    return TradeoffCurve(points=points)
+        points.append(CurvePoint(cfg.tau, accuracy, float(out.macs.mean()), float(out.exited.mean())))
+    return TradeoffCurve(points)
 
 
 def convex_envelope(points: Sequence[CurvePoint]) -> TradeoffCurve:

@@ -13,7 +13,7 @@ import json
 import sys
 from dataclasses import MISSING, asdict, fields, replace
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
@@ -24,12 +24,12 @@ from .analysis import (
     oracle_per_class_eval,
     specialization_table,
 )
-from .anytime import POLICIES, AnytimeConfig, convex_envelope, sweep_thresholds
+from .anytime import POLICIES, AnytimeConfig, CurvePoint, convex_envelope, sweep_thresholds
 from .data import LabeledDataset, SyntheticSpec, generate_synthetic, load_csv, split
 from .errors import ConfigError, DataError, MoeForgeError, PipelineError, ShapeError
 from .gate_init import initial_gate, per_class_assignment
-from .model import MoEModel, evaluate_dataset, load_model, save_model, slot_macs, top1_slots
-from .nn import ForwardPass, SgdConfig, forward_batch
+from .model import evaluate_dataset, load_model, save_model
+from .nn import SgdConfig, forward_batch
 from .training import TrainPlan, run_pipeline
 
 
@@ -201,21 +201,11 @@ def _load_config(path: str | Path) -> dict:
     return config
 
 
-def _top1_metrics(
-    model: MoEModel, ds: LabeledDataset, base: ForwardPass | None = None
-) -> tuple[float, float]:
-    """Top-1 routed accuracy and the mean per-sample MAC count.
-
-    Each expert runs only on the rows routed to it.  ``base`` is the base's
-    forward pass over ``ds`` when the caller already holds it.
-    """
-    select = lambda base_probs, gate_probs: top1_slots(model, gate_probs)
-    ev = evaluate_dataset(model, ds.features, select, base)
-    slots = top1_slots(model, ev.gate_probs)
-    probs = ev.combined[slots.argmax(axis=1), np.arange(len(ds))]
-    accuracy = float((probs.argmax(axis=1) == ds.labels).mean())
-    per_row = model.cost.macs_base + model.cost.macs_gate + slot_macs(model, ev.gate_probs, slots)
-    return accuracy, float(per_row.sum()) / len(ds)
+def _top1(model, ds: LabeledDataset, base=None) -> CurvePoint:
+    """Top-1 routing's accuracy and mean MACs: the gate_confidence policy at tau 0, which
+    never exits, as the gate's largest probability is at least 1/K.  ``base`` is the base's
+    forward pass over ``ds`` when the caller already holds it."""
+    return sweep_thresholds(model, ds, [0.0], "gate_confidence", base=base).points[0]
 
 
 def _training_data(config: dict, config_path: str, plan: TrainPlan) -> list[LabeledDataset]:
@@ -238,7 +228,7 @@ def cmd_train(config_path: str) -> int:
     result = run_pipeline(train_ds, plan, out_dir)
     save_model(out_dir / "model.json", result.model, result.expert_text)
 
-    accuracy, mean_macs = _top1_metrics(result.model, train_ds, result.base_pass)
+    top1 = _top1(result.model, train_ds, base=result.base_pass)
     artifacts = {}
     for file in sorted(out_dir.rglob("*")):
         if file.is_file() and file.name != "manifest.json":
@@ -249,8 +239,8 @@ def cmd_train(config_path: str) -> int:
         "seed": plan.seed,
         "tag": "ensembling-baseline" if plan.num_experts == 1 else "mixture",
         "train_samples": len(train_ds),
-        "train_accuracy_top1": accuracy,
-        "mean_macs_top1": mean_macs,
+        "train_accuracy_top1": top1.accuracy,
+        "mean_macs_top1": top1.mean_macs,
         "zero_mass_rows": result.zero_mass_rows,
         "stages": [
             {"stage": s.name, "seconds": s.seconds, "loaded": s.loaded} for s in result.stages
@@ -261,8 +251,8 @@ def cmd_train(config_path: str) -> int:
     for record in result.stages:
         status = "loaded" if record.loaded else "trained"
         print(f"stage {record.name}: {status} ({record.seconds:.2f}s)")
-    print(f"train accuracy (top-1 routing): {accuracy:.4f}")
-    print(f"mean MACs (top-1 routing): {mean_macs:.1f}")
+    print(f"train accuracy (top-1 routing): {top1.accuracy:.4f}")
+    print(f"mean MACs (top-1 routing): {top1.mean_macs:.1f}")
     print(f"model written to {out_dir / 'model.json'}")
     return 0
 
@@ -280,6 +270,8 @@ def _load_eval_data(path: Path, num_classes: int) -> LabeledDataset:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.analyze and not args.out:
+        raise ConfigError("--analyze needs --out DIR")
     model = load_model(args.model)
     ds = _load_eval_data(Path(args.data), model.num_classes)
     if ds.dim != model.base.input_dim or ds.num_classes != model.num_classes:
@@ -289,19 +281,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     fp = forward_batch(model.base, ds.features)  # shared by every figure below that needs it
     base_acc = float((fp.probs.argmax(axis=1) == ds.labels).mean())
-    accuracy, mean_macs = _top1_metrics(model, ds, fp)
+    top1 = _top1(model, ds, base=fp)
     print(f"samples: {len(ds)}")
     print(f"base accuracy: {base_acc:.4f}")
-    print(f"top-1 routed accuracy: {accuracy:.4f}")
-    print(f"mean MACs (top-1 routing): {mean_macs:.1f}")
+    print(f"top-1 routed accuracy: {top1.accuracy:.4f}")
+    print(f"mean MACs (top-1 routing): {top1.mean_macs:.1f}")
 
     out_dir = Path(args.out) if args.out else None
     if out_dir is not None:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.taus:
-        taus = [float(t) for t in args.taus.split(",")]
-        curve = sweep_thresholds(model, ds, taus, policy=args.policy, base=fp)
+        curve = sweep_thresholds(model, ds, args.taus, policy=args.policy, base=fp)
         envelope = convex_envelope(curve.points)
         print(curve.to_csv(), end="")
         if out_dir is not None:
@@ -310,8 +301,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
             print(f"wrote {out_dir / 'tradeoff.csv'} and {out_dir / 'envelope.csv'}")
 
     if args.analyze:
-        if out_dir is None:
-            raise ConfigError("--analyze needs --out DIR")
         ev = evaluate_dataset(model, ds.features, base=fp)
         spec_table = specialization_table(ev, ds)
         (out_dir / "specialization.csv").write_text(spec_table.to_csv())
@@ -382,13 +371,29 @@ def cmd_ablate(args: argparse.Namespace) -> int:
         run_dir.mkdir(parents=True, exist_ok=True)
         result = run_pipeline(train_ds, plan, run_dir)
         save_model(run_dir / "model.json", result.model, result.expert_text)
-        accuracy, mean_macs = _top1_metrics(result.model, eval_ds)
-        lines.append(f"{raw},{plan.seed},{accuracy!r},{mean_macs!r},{label}")
-        print(f"{args.axis}={raw}: accuracy={accuracy:.4f} mean_macs={mean_macs:.1f}")
+        top1 = _top1(result.model, eval_ds)
+        lines.append(f"{raw},{plan.seed},{top1.accuracy!r},{top1.mean_macs!r},{label}")
+        print(f"{args.axis}={raw}: accuracy={top1.accuracy:.4f} mean_macs={top1.mean_macs:.1f}")
     summary = out_root / "summary.csv"
     summary.write_text("\n".join(lines) + "\n")
     print(f"wrote {summary}")
     return 0
+
+
+def _flag(parse: Callable[[str], Any], valid: Callable[[Any], bool], want: str) -> Callable[[str], Any]:
+    """An argparse type: ``parse`` of the flag's text, which ``valid`` must accept; else the flag
+    is a usage error that says it expected ``want``."""
+
+    def convert(text: str) -> Any:
+        try:
+            value = parse(text)
+            if valid(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
+
+    return convert
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -404,11 +409,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="evaluate a trained model checkpoint")
     p_eval.add_argument("model", help="path to model.json")
     p_eval.add_argument("data", help="CSV data file, or JSON of a config's data keys plus take")
-    p_eval.add_argument("--taus", help="comma-separated thresholds for a trade-off sweep")
+    taus = _flag(lambda text: [float(t) for t in text.split(",")], lambda taus: all(0 <= t <= 1 for t in taus),
+                 "comma-separated thresholds in [0, 1]")
+    p_eval.add_argument("--taus", type=taus, help="comma-separated thresholds in [0, 1] for a trade-off sweep")
     p_eval.add_argument("--policy", default=AnytimeConfig.policy, choices=POLICIES)
     p_eval.add_argument("--out", help="directory for CSV outputs")
     p_eval.add_argument("--analyze", action="store_true", help="write analysis tables")
-    p_eval.add_argument("--num-bins", type=int, default=10, help="reliability bins")
+    bins = _flag(int, lambda n: n >= 1, "an integer of at least 1")
+    p_eval.add_argument("--num-bins", type=bins, default=10, help="reliability bins")
 
     p_ablate = sub.add_parser("ablate", help="sweep one training axis, one run per value")
     p_ablate.add_argument("config", help="path to the run configuration JSON")

@@ -59,9 +59,6 @@ class Gate:
             raise ShapeError(f"expected prelogits [B, {self.in_dim}], got {prelogits.shape}")
         return softmax(prelogits @ self.weight.T + self.bias)
 
-    def copy(self) -> "Gate":
-        return Gate(self.weight.copy(), self.bias.copy())
-
 
 @dataclass
 class Ensembler:
@@ -98,7 +95,6 @@ class CostModel:
     """Multiply-accumulate counts for every component (dense in*out, biases free)."""
 
     macs_base: int
-    macs_prefix: int
     macs_expert_tail: tuple[int, ...]
     macs_gate: int
     macs_ensembler: tuple[int, ...]
@@ -183,14 +179,6 @@ class MoEModel:
 
     # -- per-sample operations ------------------------------------------------
 
-    def ensemble_output(self, k: int, x: np.ndarray) -> np.ndarray:
-        """Class probabilities of expert k combined with the base by its ensembler."""
-        if not 0 <= k < self.num_experts:
-            raise ShapeError(f"expert index {k} out of range")
-        only_k = lambda base_probs, gate_probs: (np.arange(self.num_experts) == k)[None, :]
-        ev = evaluate_dataset(self, np.asarray(x, dtype=np.float64)[None, :], only_k)
-        return ev.combined[k, 0]
-
     def top1_predict(self, x: np.ndarray) -> tuple[np.ndarray, int]:
         """Route to the gate's argmax expert; ties pick the lower index."""
         select = lambda base_probs, gate_probs: top1_slots(self, gate_probs)
@@ -233,9 +221,6 @@ def _stack_tails(experts: list[Network]) -> list[tuple]:
 
 
 def make_cost_model(model: MoEModel) -> CostModel:
-    prefix = sum(
-        l.in_dim * l.out_dim for l in model.base.layers[: model.shared_prefix]
-    )
     ens_costs = []
     for ens in model.ensemblers:
         if ens.kind == "stacking":
@@ -245,7 +230,6 @@ def make_cost_model(model: MoEModel) -> CostModel:
             ens_costs.append(0)
     return CostModel(
         macs_base=network_macs(model.base),
-        macs_prefix=prefix,
         macs_expert_tail=tuple(network_macs(e) for e in model.experts),
         macs_gate=model.gate.in_dim * model.gate.rows,
         macs_ensembler=tuple(ens_costs),

@@ -17,7 +17,6 @@ from moe_forge.anytime import (
     convex_envelope,
     select_threshold,
     sweep_thresholds,
-    _decide,
     _predict_batch,
 )
 from moe_forge.data import LabeledDataset
@@ -112,7 +111,7 @@ class TestThresholdRule:
         assert not out.exited
         assert out.executed_experts == (0, 1, 2)
         ev = evaluate_dataset(model, x[None, :])
-        mixture = sum(ev.gate_probs[0, k] * model.ensemble_output(k, x) for k in range(3))
+        mixture = sum(ev.gate_probs[0, k] * ev.combined[k, 0] for k in range(3))
         np.testing.assert_allclose(out.probs, mixture, atol=1e-12)
 
     def test_renormalization_never_moves_the_argmax(self, rng):
@@ -353,6 +352,21 @@ class TestSelectThreshold:
 
 ENSEMBLER_KINDS = ("none", "bagging", "stacking", "top2")
 POLICY_TAUS = (0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
+ONE_HOT = np.eye(4, dtype=bool)  # the slots of one expert of four
+
+
+def dense_outcomes(model: MoEModel, x: np.ndarray, configs) -> list:
+    """``_predict_batch``'s outcomes for the configs when evaluate_dataset runs every tail and
+    ensembler on every row, whatever the configs select."""
+
+    def dense(model, x, select, base=None):
+        ev = evaluate_dataset(model, x, base=base)
+        select(ev.base.probs, ev.gate_probs)  # the decisions, made as the selector makes them
+        return ev
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(anytime_mod, "evaluate_dataset", dense)
+        return _predict_batch(model, x, configs)
 
 
 def count_tail_runs(monkeypatch, model: MoEModel, blocks: list | None = None) -> Counter:
@@ -393,25 +407,41 @@ class TestConditionalExecution:
         x = rng.normal(size=(25, 4))
         model = random_model(rng, num_experts=4, ensembler=kind)
         seen = {policy: set() for policy in POLICIES}
+        configs = [AnytimeConfig(tau=tau, policy=policy) for policy in POLICIES for tau in POLICY_TAUS]
         for i in range(len(x)):
             ev = evaluate_dataset(model, x[i : i + 1])
-            for policy in POLICIES:
-                for tau in POLICY_TAUS:
-                    cfg = AnytimeConfig(tau=tau, policy=policy)
-                    want = _predict_batch(model, ev, cfg, _decide(model, cfg, ev.base.probs, ev.gate_probs))
-                    got = anytime_predict(model, x[i], cfg)
-                    assert np.array_equal(got.probs, want.probs[0])
-                    assert got.exited == bool(want.exited[0])
-                    assert got.executed_experts == tuple(np.flatnonzero(want.executed[0]))
-                    assert got.macs == int(want.macs[0])
-                    seen[policy].add(got.exited)
+            for cfg, want in zip(configs, dense_outcomes(model, x[i : i + 1], configs)):
+                got = anytime_predict(model, x[i], cfg)
+                assert np.array_equal(got.probs, want.probs[0])
+                assert got.exited == bool(want.exited[0])
+                assert got.executed_experts == tuple(np.flatnonzero(want.executed[0]))
+                assert got.macs == int(want.macs[0])
+                seen[cfg.policy].add(got.exited)
             probs, chosen = model.top1_predict(x[i])
             assert chosen == int(ev.gate_probs[0].argmax())
             assert np.array_equal(probs, ev.combined[chosen, 0])
             for k in range(4):
-                assert np.array_equal(model.ensemble_output(k, x[i]), ev.combined[k, 0])
+                only_k = evaluate_dataset(model, x[i : i + 1], lambda base_probs, gate_probs: ONE_HOT[k][None, :])
+                assert np.array_equal(only_k.combined[k, 0], ev.combined[k, 0])
         # every policy both exited and ran experts on some row
         assert seen == {policy: {True, False} for policy in POLICIES}
+
+    def test_each_prediction_is_one_evaluation_of_its_row(self, rng, monkeypatch):
+        model = random_model(rng, num_experts=4)
+        real_evaluate, slots = anytime_mod.evaluate_dataset, []
+
+        def recording(model, x, select, base=None):
+            def recorded(base_probs, gate_probs):
+                slots.append(select(base_probs, gate_probs))
+                return slots[-1]
+
+            return real_evaluate(model, x, recorded, base)
+
+        monkeypatch.setattr(anytime_mod, "evaluate_dataset", recording)
+        for policy in POLICIES:
+            for tau in (0.0, 0.1, 1.0):
+                anytime_predict(model, rng.normal(size=4), AnytimeConfig(tau=tau, policy=policy))
+        assert [s.shape for s in slots] == [(1, 4)] * 9
 
     @pytest.mark.parametrize("kind", ENSEMBLER_KINDS)
     def test_only_the_selected_expert_tails_run(self, rng, monkeypatch, kind):
@@ -433,7 +463,7 @@ class TestConditionalExecution:
             partial += 0 < len(out.executed_experts) < 4
             runs.clear()
             _, chosen = model.top1_predict(row)
-            model.ensemble_output(3, row)
+            evaluate_dataset(model, row[None, :], lambda base_probs, gate_probs: ONE_HOT[3][None, :])
             assert experts_run_on(runs, fp.tap[0]) == sorted(tails_for([chosen]) + tails_for([3]))
             runs.clear()
         assert partial > 0
@@ -463,13 +493,11 @@ class TestConditionalExecution:
 
 def dense_curve(model: MoEModel, ds: LabeledDataset, taus, policy: str, renormalize: bool = True) -> TradeoffCurve:
     """The sweep from one dense evaluation: every tail on every row, each threshold decided from it."""
-    ev = evaluate_dataset(model, ds.features)
+    configs = [AnytimeConfig(tau, policy, renormalize) for tau in taus]
     points = []
-    for tau in taus:
-        cfg = AnytimeConfig(tau, policy, renormalize)
-        out = _predict_batch(model, ev, cfg, _decide(model, cfg, ev.base.probs, ev.gate_probs))
+    for cfg, out in zip(configs, dense_outcomes(model, ds.features, configs)):
         accuracy = float((out.probs.argmax(axis=1) == ds.labels).mean())
-        points.append(CurvePoint(tau, accuracy, float(out.macs.mean()), float(out.exited.mean())))
+        points.append(CurvePoint(cfg.tau, accuracy, float(out.macs.mean()), float(out.exited.mean())))
     return TradeoffCurve(points)
 
 

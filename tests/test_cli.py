@@ -10,12 +10,12 @@ import moe_forge.cli as cli
 import moe_forge.model as model_mod
 from moe_forge.analysis import gate_disagreement, model_reliability, oracle_per_class_eval, specialization_table
 from moe_forge.anytime import CURVE_HEADER
-from moe_forge.cli import _plan_from_config, _top1_metrics, main
+from moe_forge.cli import _plan_from_config, main
 from moe_forge.data import LabeledDataset, generate_synthetic, save_csv
 from moe_forge.errors import ConfigError
 from moe_forge.gate_init import initial_gate, per_class_assignment
 from moe_forge.jsonio import load_json
-from moe_forge.model import evaluate_dataset, load_model, save_model, slot_macs, top1_slots
+from moe_forge.model import ExecutionTrace, evaluate_dataset, load_model, mac_count, save_model
 from moe_forge.nn import SgdConfig, forward_batch
 from moe_forge.training import TrainPlan, run_pipeline
 
@@ -91,6 +91,21 @@ def eval_data_file(tmp_path: Path) -> Path:
         )
     )
     return path
+
+
+def top1_oracle(model, ds: LabeledDataset) -> tuple[float, float]:
+    """Top-1 accuracy and mean MACs over ds, row by row: ``top1_predict``, and ``mac_count`` of the
+    base, the gate, the routed slot and the tails it needs (a top2 slot's: its row's top pair)."""
+    correct = macs = 0
+    for row, label in zip(ds.features, ds.labels):
+        probs, chosen = model.top1_predict(row)
+        tails = [chosen]
+        if model.ensemblers[chosen].kind == "top2":
+            gate = model.gate.distribution_batch(forward_batch(model.base, row[None, :]).prelogits)[0]
+            tails = sorted(np.argsort(-gate, kind="stable")[:2].tolist())
+        correct += int(probs.argmax() == label)
+        macs += mac_count(model, ExecutionTrace(expert_tails=tuple(tails), ensemblers=(chosen,)))
+    return correct / len(ds), macs / len(ds)
 
 
 class TestTrain:
@@ -300,8 +315,33 @@ class TestEval:
 
     def test_analyze_without_out_dir_is_a_usage_error(self, trained, tmp_path, capsys):
         data = eval_data_file(tmp_path)
-        assert main(["eval", str(trained), str(data), "--analyze"]) == 2
-        assert "--out" in capsys.readouterr().err
+        capsys.readouterr()
+        assert main(["eval", str(trained), str(data), "--taus", "0,1", "--analyze"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--analyze needs --out" in captured.err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--taus", "2", "expected comma-separated thresholds in [0, 1], got '2'"),
+            ("--taus", "0,1.5", "expected comma-separated thresholds in [0, 1], got '0,1.5'"),
+            ("--taus", "0,abc", "expected comma-separated thresholds in [0, 1], got '0,abc'"),
+            ("--taus", ",", "expected comma-separated thresholds in [0, 1], got ','"),
+            ("--taus", "nan", "expected comma-separated thresholds in [0, 1], got 'nan'"),
+            ("--num-bins", "0", "expected an integer of at least 1, got '0'"),
+        ],
+        ids=["tau_2", "tau_1.5", "tau_abc", "tau_comma", "tau_nan", "num_bins_0"],
+    )
+    def test_bad_flag_exits_2_before_any_output(self, trained, tmp_path, capsys, flag, value, message):
+        out_dir = tmp_path / "evalout"
+        args = ["eval", str(trained), str(eval_data_file(tmp_path)), "--taus", "0,1", "--analyze", "--out", str(out_dir)]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*args, flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert captured.out == "" and f"argument {flag}: {message}" in captured.err
+        assert not out_dir.exists()
 
     def test_dimension_mismatch_is_a_usage_error(self, trained, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -316,11 +356,6 @@ class TestEval:
             )
         )
         assert main(["eval", str(trained), str(bad)]) == 2
-
-    def test_out_of_range_tau_is_a_runtime_error(self, trained, tmp_path, capsys):
-        data = eval_data_file(tmp_path)
-        assert main(["eval", str(trained), str(data), "--taus", "0,1.5"]) == 1
-        assert "tau" in capsys.readouterr().err
 
     def test_one_base_pass_gives_the_figures_of_separate_passes(self, trained, tmp_path, capsys, monkeypatch):
         data = eval_data_file(tmp_path)
@@ -355,17 +390,13 @@ class TestEval:
         model = load_model(trained)
         ds = cli._load_eval_data(data, model.num_classes)
         base_acc = float((forward_batch(model.base, ds.features).probs.argmax(axis=1) == ds.labels).mean())
-        ev = evaluate_dataset(model, ds.features)
-        slots = top1_slots(model, ev.gate_probs)
-        routed = ev.combined[slots.argmax(axis=1), np.arange(len(ds))]
-        accuracy = float((routed.argmax(axis=1) == ds.labels).mean())
-        macs = model.cost.macs_base + model.cost.macs_gate + slot_macs(model, ev.gate_probs, slots)
+        accuracy, macs = top1_oracle(model, ds)
         lines = stdout.splitlines()
         assert lines[:4] == [
             "samples: 30",
             f"base accuracy: {base_acc:.4f}",
             f"top-1 routed accuracy: {accuracy:.4f}",
-            f"mean MACs (top-1 routing): {float(macs.sum()) / len(ds):.1f}",
+            f"mean MACs (top-1 routing): {macs:.1f}",
         ]
         prelogits = forward_batch(model.base, ds.features).prelogits
         init = initial_gate(prelogits, model.centroids, model.temperature)
@@ -392,27 +423,51 @@ class TestEval:
         assert "invalid choice: 'learned_gate'" in capsys.readouterr().err
 
 
-class TestTop1Metrics:
+class TestTop1Routing:
+    """The CLI's top-1 figures are the gate_confidence policy at tau 0, which never exits."""
+
     @pytest.mark.parametrize("kind", ["none", "bagging", "stacking", "top2"])
-    @pytest.mark.parametrize("tied", [False, True], ids=["random_gate", "tied_gate"])
-    def test_routed_pass_equals_the_dense_pass(self, rng, kind, tied):
+    @pytest.mark.parametrize("gate", ["random_gate", "tied_gate", "uniform_gate"])
+    def test_gate_confidence_at_tau_zero_equals_per_row_top1_predict(self, rng, kind, gate):
         x = rng.normal(size=(60, 4))
         model = random_model(rng, num_experts=4, ensembler=kind)
-        if tied:  # every row routes to expert 1, the lower index of the tied top experts
+        if gate == "tied_gate":  # every row routes to expert 1, the lower index of the tied top experts
             tie_gate(model)
+        elif gate == "uniform_gate":  # every gate probability is 1/K, so every row routes to expert 0
+            model.gate.weight[:] = 0.0
+            model.gate.bias[:] = 0.0
         ds = LabeledDataset(x, rng.integers(3, size=60), 3)
-        dense = evaluate_dataset(model, x)
-        slots = top1_slots(model, dense.gate_probs)
-        chosen = slots.argmax(axis=1)
-        want_probs = dense.combined[chosen, np.arange(60)]
-        want_macs = model.cost.macs_base + model.cost.macs_gate + slot_macs(model, dense.gate_probs, slots)
-        want = (float((want_probs.argmax(axis=1) == ds.labels).mean()), float(want_macs.sum()) / 60)
-        assert _top1_metrics(model, ds) == want
-        assert _top1_metrics(model, ds, forward_batch(model.base, x)) == want
-        # Bit-equal, except where a tail runs on a single row: numpy computes a one-row
-        # product as a matrix-vector product, which rounds differently.
-        routed = evaluate_dataset(model, x, lambda base_probs, gate_probs: top1_slots(model, gate_probs))
-        np.testing.assert_allclose(routed.combined[chosen, np.arange(60)], want_probs, rtol=1e-14, atol=0)
+        if gate != "random_gate":
+            assert {model.top1_predict(row)[1] for row in x} == {1 if gate == "tied_gate" else 0}
+        accuracy, macs = top1_oracle(model, ds)
+        for base in (None, forward_batch(model.base, x)):
+            top1 = cli._top1(model, ds, base=base)
+            assert (top1.accuracy, top1.mean_macs, top1.exit_ratio) == (accuracy, macs, 0.0)
+
+    def test_train_manifest_holds_the_figures(self, tmp_path):
+        assert main(["train", str(make_config(tmp_path))]) == 0
+        manifest = load_json(tmp_path / "run" / "manifest.json")
+        want = top1_oracle(load_model(tmp_path / "run" / "model.json"), generate_synthetic_dataset())
+        assert (manifest["train_accuracy_top1"], manifest["mean_macs_top1"]) == want
+
+    def test_eval_prints_the_figures(self, tmp_path, capsys):
+        assert main(["train", str(make_config(tmp_path))]) == 0
+        data = eval_data_file(tmp_path)
+        capsys.readouterr()
+        assert main(["eval", str(tmp_path / "run" / "model.json"), str(data)]) == 0
+        model = load_model(tmp_path / "run" / "model.json")
+        accuracy, macs = top1_oracle(model, cli._load_eval_data(data, model.num_classes))
+        assert capsys.readouterr().out.splitlines()[2:4] == [
+            f"top-1 routed accuracy: {accuracy:.4f}",
+            f"mean MACs (top-1 routing): {macs:.1f}",
+        ]
+
+    def test_ablate_summary_holds_the_figures(self, tmp_path):
+        assert main(["ablate", str(make_config(tmp_path)), "--axis", "gamma", "--values", "0.05"]) == 0
+        root = tmp_path / "run" / "ablate" / "gamma"
+        row = (root / "summary.csv").read_text().splitlines()[1].split(",")
+        want = top1_oracle(load_model(root / "0.05" / "model.json"), generate_synthetic_dataset())
+        assert (float(row[2]), float(row[3])) == want
 
 
 class TestModelJson:

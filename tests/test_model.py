@@ -123,11 +123,6 @@ class TestMacAccounting:
         model = mac_fixture_model("stacking")
         assert model.cost.macs_ensembler == (18, 18)
 
-    def test_prefix_cost_is_layers_up_to_the_tap(self):
-        model = mac_fixture_model()
-        assert model.cost.macs_prefix == 32  # 4x8
-        assert model.cost.macs_prefix <= model.cost.macs_base
-
     def test_trace_naming_absent_expert_rejected(self):
         model = mac_fixture_model()
         with pytest.raises(ShapeError):
@@ -172,15 +167,16 @@ class TestModelOutputs:
         ev = evaluate_dataset(model, x)
         mixture = np.einsum("nk,knc->nc", ev.gate_probs, ev.combined)
         for i in range(len(x)):
+            row = evaluate_dataset(model, x[i : i + 1])
             expected = np.zeros(3)
             for k in range(3):
-                expected += ev.gate_probs[i, k] * model.ensemble_output(k, x[i])
+                expected += ev.gate_probs[i, k] * row.combined[k, 0]
             np.testing.assert_allclose(mixture[i], expected, atol=1e-12)
 
-    def test_ensemble_output_is_a_distribution(self, rng):
+    def test_each_ensembled_output_is_a_distribution(self, rng):
         for kind in ("none", "bagging", "stacking", "top2"):
             model = random_model(rng, ensembler=kind)
-            probs = model.ensemble_output(1, rng.normal(size=4))
+            probs = evaluate_dataset(model, rng.normal(size=(1, 4))).combined[1, 0]
             assert probs.shape == (3,)
             assert probs.sum() == pytest.approx(1.0, abs=1e-12)
             assert np.all(probs >= 0)
@@ -198,7 +194,7 @@ class TestModelOutputs:
         ev = evaluate_dataset(model, x[None, :])
         pair = ev.top_pair[0]
         expected = 0.5 * (ev.expert_probs[pair[0], 0] + ev.expert_probs[pair[1], 0])
-        np.testing.assert_allclose(model.ensemble_output(0, x), expected, atol=1e-15)
+        np.testing.assert_allclose(ev.combined[0, 0], expected, atol=1e-15)
         order = np.argsort(-ev.gate_probs[0, :3])
         np.testing.assert_array_equal(sorted(pair), sorted(order[:2]))
 

@@ -87,7 +87,7 @@ def old_fit_linear_softmax(inputs, targets, cfg, start=None):
     """The gate fit's own momentum-SGD loop, as it was before the gate went through sgd_train."""
     n, p = inputs.shape
     rows = targets.shape[1]
-    gate = start.copy() if start is not None else Gate(np.zeros((rows, p)), np.zeros(rows))
+    gate = Gate(start.weight.copy(), start.bias.copy()) if start is not None else Gate(np.zeros((rows, p)), np.zeros(rows))
     vel_w = np.zeros_like(gate.weight)
     vel_b = np.zeros_like(gate.bias)
     rng = np.random.default_rng(cfg.seed)
@@ -197,7 +197,7 @@ class TestFitLinearSoftmax:
         x = rng.normal(size=(n, dim))
         targets = rng.dirichlet(np.ones(rows), size=n)
         start = Gate(rng.normal(size=(rows, dim)), rng.normal(size=rows)) if warm else None
-        before = start.copy() if warm else None
+        before = Gate(start.weight.copy(), start.bias.copy()) if warm else None
         cfg = SgdConfig(learning_rate=0.5, momentum=0.9, batch_size=64, epochs=6,
                         lr_decay_epochs=(2, 4), lr_decay_factor=5.0, seed=seed)
         got = fit_gate(x, targets, cfg, start)
