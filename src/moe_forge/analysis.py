@@ -138,7 +138,7 @@ def gate_disagreement(
     assign_a: np.ndarray,
     assign_b: np.ndarray,
     labels: np.ndarray,
-    num_experts: int | None = None,
+    num_experts: int,
 ) -> DisagreementReport:
     """Compare two hard expert assignments of the same samples.
 
@@ -153,8 +153,6 @@ def gate_disagreement(
         raise ShapeError("assignments and labels must be matching 1-d arrays")
     if len(assign_a) == 0:
         raise ShapeError("need at least one sample")
-    if num_experts is None:
-        num_experts = int(max(assign_a.max(), assign_b.max())) + 1
     counts = np.zeros((num_experts, num_experts), dtype=np.int64)
     np.add.at(counts, (assign_a, assign_b), 1)
     fraction = float((assign_a != assign_b).mean())

@@ -29,7 +29,6 @@ CURVE_HEADER = "tau,accuracy,mean_macs,exit_ratio"
 class AnytimeConfig:
     tau: float
     policy: str = "alpha_threshold"
-    renormalize: bool = True  # renormalize gate weights over the executed set
 
     def validate(self) -> None:
         if self.policy not in POLICIES:
@@ -87,11 +86,10 @@ def _decide(model: MoEModel, cfg: AnytimeConfig, base_probs: np.ndarray, gate_pr
         exited = ~executed.any(axis=1)
         if exited.all():  # no row mixes anything, so every weight is zero
             return exited, executed, np.zeros_like(gate_probs)
+        # The gate weights, renormalized over the executed set.
         weights = np.where(executed, gate_probs, 0.0)
-        if cfg.renormalize:
-            mass = weights.sum(axis=1, keepdims=True)
-            weights = np.divide(weights, mass, out=np.zeros_like(weights), where=mass > 0)
-        return exited, executed, weights
+        mass = weights.sum(axis=1, keepdims=True)
+        return exited, executed, np.divide(weights, mass, out=np.zeros_like(weights), where=mass > 0)
     # The other policies run the gate's argmax expert unless the row exits.
     if cfg.policy == "base_confidence":
         exited = base_probs.max(axis=1) >= cfg.tau
@@ -162,24 +160,32 @@ def anytime_predict(model: MoEModel, x: np.ndarray, cfg: AnytimeConfig) -> Predi
     )
 
 
+def _curve_points(
+    model: MoEModel, ds: LabeledDataset, configs: Sequence[AnytimeConfig], base: ForwardPass | None
+) -> list[CurvePoint]:
+    """Accuracy / mean MACs / exit ratio under every config, all from one ``_predict_batch``.
+
+    ``base`` is the base's forward pass over ``ds``, or None to run it here.
+    """
+    points = []
+    for cfg, out in zip(configs, _predict_batch(model, ds.features, configs, base)):
+        accuracy = float((out.probs.argmax(axis=1) == ds.labels).mean())
+        points.append(CurvePoint(cfg.tau, accuracy, float(out.macs.mean()), float(out.exited.mean())))
+    return points
+
+
 def sweep_thresholds(
     model: MoEModel,
     ds: LabeledDataset,
     taus: Sequence[float],
     policy: str = "alpha_threshold",
-    renormalize: bool = True,
     base: ForwardPass | None = None,
 ) -> TradeoffCurve:
-    """Accuracy / mean MACs / exit ratio at every threshold, all from one ``_predict_batch``.
+    """The trade-off curve of ``policy`` at every threshold, all from one ``_predict_batch``.
 
     ``base`` is the base's forward pass over ``ds`` when the caller already holds it.
     """
-    configs = [AnytimeConfig(float(tau), policy, renormalize) for tau in taus]
-    points = []
-    for cfg, out in zip(configs, _predict_batch(model, ds.features, configs, base)):
-        accuracy = float((out.probs.argmax(axis=1) == ds.labels).mean())
-        points.append(CurvePoint(cfg.tau, accuracy, float(out.macs.mean()), float(out.exited.mean())))
-    return TradeoffCurve(points)
+    return TradeoffCurve(_curve_points(model, ds, [AnytimeConfig(float(tau), policy) for tau in taus], base))
 
 
 def convex_envelope(points: Sequence[CurvePoint]) -> TradeoffCurve:

@@ -24,7 +24,15 @@ from .analysis import (
     oracle_per_class_eval,
     specialization_table,
 )
-from .anytime import POLICIES, AnytimeConfig, CurvePoint, convex_envelope, sweep_thresholds
+from .anytime import (
+    POLICIES,
+    AnytimeConfig,
+    CurvePoint,
+    TradeoffCurve,
+    _curve_points,
+    convex_envelope,
+    sweep_thresholds,
+)
 from .data import LabeledDataset, SyntheticSpec, generate_synthetic, load_csv, split
 from .errors import ConfigError, DataError, MoeForgeError, PipelineError, ShapeError
 from .gate_init import initial_gate, per_class_assignment
@@ -201,11 +209,15 @@ def _load_config(path: str | Path) -> dict:
     return config
 
 
+# Top-1 routing: the gate_confidence policy at tau 0 never exits, as the gate's largest
+# probability is at least 1/K, so it runs each row's argmax expert.
+_TOP1 = AnytimeConfig(0.0, "gate_confidence")
+
+
 def _top1(model, ds: LabeledDataset, base=None) -> CurvePoint:
-    """Top-1 routing's accuracy and mean MACs: the gate_confidence policy at tau 0, which
-    never exits, as the gate's largest probability is at least 1/K.  ``base`` is the base's
-    forward pass over ``ds`` when the caller already holds it."""
-    return sweep_thresholds(model, ds, [0.0], "gate_confidence", base=base).points[0]
+    """Top-1 routing's accuracy and mean MACs.  ``base`` is the base's forward pass over
+    ``ds`` when the caller already holds it."""
+    return sweep_thresholds(model, ds, [_TOP1.tau], _TOP1.policy, base=base).points[0]
 
 
 def _training_data(config: dict, config_path: str, plan: TrainPlan) -> list[LabeledDataset]:
@@ -281,7 +293,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         )
     fp = forward_batch(model.base, ds.features)  # shared by every figure below that needs it
     base_acc = float((fp.probs.argmax(axis=1) == ds.labels).mean())
-    top1 = _top1(model, ds, base=fp)
+    # Top-1 routing and every threshold of the sweep, from one conditional pass.
+    sweep = [AnytimeConfig(tau, args.policy) for tau in args.taus or ()]
+    top1, *points = _curve_points(model, ds, [_TOP1, *sweep], fp)
     print(f"samples: {len(ds)}")
     print(f"base accuracy: {base_acc:.4f}")
     print(f"top-1 routed accuracy: {top1.accuracy:.4f}")
@@ -292,7 +306,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
 
     if args.taus:
-        curve = sweep_thresholds(model, ds, args.taus, policy=args.policy, base=fp)
+        curve = TradeoffCurve(points)
         envelope = convex_envelope(curve.points)
         print(curve.to_csv(), end="")
         if out_dir is not None:
@@ -311,17 +325,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if model.centroids is not None:
             init = initial_gate(fp.prelogits, model.centroids, model.temperature)
             report = gate_disagreement(
-                init.weights.argmax(axis=1),
-                ev.gate_probs.argmax(axis=1),
-                ds.labels,
-                num_experts=model.num_experts,
+                init.weights.argmax(axis=1), ev.gate_probs.argmax(axis=1), ds.labels, model.num_experts
             )
             (out_dir / "disagreement_transitions.csv").write_text(report.transitions_csv())
             (out_dir / "disagreement.csv").write_text(
                 "fraction\n" + repr(report.fraction) + "\n"
             )
-            class_map, _ = per_class_assignment(init, ds.labels)
-            oracle_acc = oracle_per_class_eval(ev, class_map, ds)
+            oracle_acc = oracle_per_class_eval(ev, per_class_assignment(init, ds), ds)
             print(f"gate disagreement vs clustering: {report.fraction:.4f}")
             print(f"oracle per-class accuracy: {oracle_acc:.4f}")
             wrote += ["disagreement.csv", "disagreement_transitions.csv"]
@@ -356,7 +366,8 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     base_plan = _plan_from_config(config)
     parts = _training_data(config, args.config, base_plan)
     train_ds = parts[0]
-    eval_ds = parts[1] if len(parts) > 1 else parts[0]
+    scored = 1 if len(parts) > 1 else 0  # the part after the training part, when there is one
+    eval_ds = parts[scored]
     if args.axis not in _ABLATE_AXES:
         raise ConfigError(f"unknown ablation axis {args.axis!r} (choose from {tuple(_ABLATE_AXES)})")
     values = [v.strip() for v in args.values.split(",") if v.strip()]
@@ -365,6 +376,7 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     runs = [(raw, *_ablate_plan(base_plan, args.axis, raw)) for raw in values]
 
     out_root = Path(config["output_dir"]) / "ablate" / args.axis
+    print(f"scored on part {scored} of {len(parts)} ({'held out' if scored else 'the training data'})")
     lines = ["axis_value,seed,accuracy,mean_macs,label"]
     for raw, plan, label in runs:
         run_dir = out_root / raw.replace("/", "_")

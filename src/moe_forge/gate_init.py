@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import LabeledDataset
 from .errors import ShapeError
 from .nn import softmax
 from .seeding import derive_rng
@@ -44,6 +45,9 @@ class InitialGate:
     def num_experts(self) -> int:
         return self.weights.shape[1]
 
+
+_MAX_ITERS = 100
+_TOL = 1e-8
 
 # Rows per block of _sq_distances: a [256, dim] difference stays in cache for dim up to ~1000.
 _BLOCK_ROWS = 256
@@ -85,17 +89,11 @@ def _plus_plus_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np
     return means
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    seed: int,
-    max_iters: int = 100,
-    tol: float = 1e-8,
-) -> Centroids:
+def kmeans(points: np.ndarray, k: int, seed: int) -> Centroids:
     """Lloyd's algorithm with k-means++ seeding, deterministic given seed.
 
-    Stops when the largest centroid shift drops below tol or after
-    max_iters updates.  A cluster that empties is re-seeded to the point
+    Stops when the largest centroid shift drops below _TOL or after
+    _MAX_ITERS updates.  A cluster that empties is re-seeded to the point
     farthest from its assigned centroid.
     """
     points = np.asarray(points, dtype=np.float64)
@@ -111,7 +109,7 @@ def kmeans(
     means = _plus_plus_seeds(points, k, rng)
     history: list[float] = []
     dists = _sq_distances(points, means)
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         assign = dists.argmin(axis=1)
         point_dist = dists[np.arange(n), assign]
         new_means = means.copy()
@@ -129,7 +127,7 @@ def kmeans(
         # These distances give this update's inertia and the next assignment.
         dists = _sq_distances(points, means)
         history.append(float(dists.min(axis=1).sum()))
-        if shift < tol:
+        if shift < _TOL:
             break
     return Centroids(means=means, inertia_history=tuple(history))
 
@@ -177,25 +175,19 @@ def smooth_weights(weights: np.ndarray, floor: float) -> np.ndarray:
     return np.clip(weights, floor, 1.0)
 
 
-def per_class_assignment(
-    gate: InitialGate, labels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Collapse a soft per-sample assignment to one expert per class.
+def per_class_assignment(gate: InitialGate, ds: LabeledDataset) -> np.ndarray:
+    """Collapse a soft per-sample assignment of ``ds`` to one expert per class.
 
     Each class goes to the expert with the highest mean soft weight over
     that class's samples (ties pick the lower expert index).  Returns the
-    [C] class-to-expert map and its one-hot [N, K] expansion.
+    [num_classes] class-to-expert map; a class without samples is an error.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != (gate.weights.shape[0],):
-        raise ShapeError("labels must be 1-d with one entry per gate row")
-    num_classes = int(labels.max()) + 1
-    class_map = np.empty(num_classes, dtype=np.int64)
-    for cls in range(num_classes):
-        members = labels == cls
+    if len(ds) != gate.weights.shape[0]:
+        raise ShapeError("the dataset must have one row per gate row")
+    class_map = np.empty(ds.num_classes, dtype=np.int64)
+    for cls in range(ds.num_classes):
+        members = ds.labels == cls
         if not members.any():
             raise ValueError(f"class {cls} has no samples")
         class_map[cls] = int(gate.weights[members].mean(axis=0).argmax())
-    onehot = np.zeros_like(gate.weights)
-    onehot[np.arange(len(labels)), class_map[labels]] = 1.0
-    return class_map, onehot
+    return class_map

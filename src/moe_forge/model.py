@@ -102,10 +102,8 @@ class CostModel:
 
 @dataclass(frozen=True)
 class ExecutionTrace:
-    """Which components ran for one prediction."""
+    """The expert tails and ensemblers that ran for one prediction, besides the base and gate."""
 
-    base: bool = True
-    gate: bool = True
     expert_tails: tuple[int, ...] = ()
     ensemblers: tuple[int, ...] = ()
 
@@ -237,13 +235,9 @@ def make_cost_model(model: MoEModel) -> CostModel:
 
 
 def mac_count(model: MoEModel, trace: ExecutionTrace) -> int:
-    """Total multiply-accumulates for one prediction under the given trace."""
+    """Total multiply-accumulates for one prediction: the base, the gate and the trace's components."""
     cost = model.cost
-    total = 0
-    if trace.base:
-        total += cost.macs_base
-    if trace.gate:
-        total += cost.macs_gate
+    total = cost.macs_base + cost.macs_gate
     for k in trace.expert_tails:
         if not 0 <= k < model.num_experts:
             raise ShapeError(f"trace references absent expert {k}")

@@ -298,12 +298,7 @@ def sgd_train(
     return out
 
 
-def init_network(
-    layer_dims: list[int],
-    tap_index: int,
-    seed: int,
-    activations: list[str] | None = None,
-) -> Network:
+def init_network(layer_dims: list[int], tap_index: int, seed: int) -> Network:
     """Fresh network with uniform(+-sqrt(6/(fan_in+fan_out))) weights, zero biases.
 
     layer_dims chains input through hidden sizes to the class count,
@@ -312,17 +307,14 @@ def init_network(
     if len(layer_dims) < 2:
         raise ShapeError("layer_dims needs at least an input and an output size")
     num_layers = len(layer_dims) - 1
-    if activations is None:
-        activations = ["relu"] * (num_layers - 1) + ["identity"]
-    if len(activations) != num_layers:
-        raise ShapeError(f"expected {num_layers} activations, got {len(activations)}")
     rng = np.random.default_rng(seed)
     layers = []
     for i in range(num_layers):
         fan_in, fan_out = layer_dims[i], layer_dims[i + 1]
         limit = np.sqrt(6.0 / (fan_in + fan_out))
         weight = rng.uniform(-limit, limit, size=(fan_out, fan_in))
-        layers.append(Layer(weight=weight, bias=np.zeros(fan_out), activation=activations[i]))
+        activation = "relu" if i < num_layers - 1 else "identity"
+        layers.append(Layer(weight=weight, bias=np.zeros(fan_out), activation=activation))
     return Network(layers=layers, tap_index=tap_index)
 
 

@@ -163,18 +163,12 @@ def train_base(
     return sgd_train(net, ds.features, ds.labels, np.ones(len(ds)), cfg)
 
 
-def train_gate(
-    targets: np.ndarray,
-    base: Network,
-    ds: LabeledDataset,
-    cfg: SgdConfig,
-    start: Gate | None = None,
-    prelogits: np.ndarray | None = None,
-) -> Gate:
-    """Fit the linear gate on base pre-logits to match a soft assignment."""
-    if prelogits is None:
-        prelogits = forward_batch(base, ds.features).prelogits
-    return fit_gate(prelogits, targets, cfg, start)
+def train_gate(targets: np.ndarray, base_pass: ForwardPass, cfg: SgdConfig) -> Gate:
+    """Fit the linear gate on the base's pre-logits to match a soft assignment.
+
+    ``base_pass`` is the base's forward pass over the training rows, one per target row.
+    """
+    return fit_gate(base_pass.prelogits, targets, cfg)
 
 
 def expert_tail(base: Network) -> Network:
@@ -191,21 +185,19 @@ def expert_tail(base: Network) -> Network:
 
 def train_expert(
     k: int,
-    base: Network | None,
+    base_pass: ForwardPass,
     sample_weights: np.ndarray,
     ds: LabeledDataset,
     cfg: SgdConfig,
+    start: Network,
     negative_handling: str = "reweight",
-    start: Network | None = None,
-    tap_features: np.ndarray | None = None,
 ) -> Network:
-    """Train expert k on the base tap features under per-sample weights.
+    """Train expert k from ``start`` on the base's tap output under per-sample weights.
 
-    "reweight" scales each sample's loss by its weight; "sample" draws
-    training batches proportionally to the weights instead.  The expert
-    starts from the base tail unless a partially trained start is given;
-    the base is needed only for what ``start`` and ``tap_features`` leave
-    out.
+    ``base_pass`` is the base's forward pass over ``ds``; ``start`` is a fresh
+    ``expert_tail`` or a partially trained expert.  "reweight" scales each
+    sample's loss by its weight; "sample" draws training batches
+    proportionally to the weights instead.
     """
     sample_weights = np.asarray(sample_weights, dtype=np.float64)
     if sample_weights.shape != (len(ds),):
@@ -215,39 +207,31 @@ def train_expert(
     if negative_handling not in NEGATIVE_HANDLING:
         raise ValueError(f"unknown negative_handling {negative_handling!r}")
 
-    net = start if start is not None else expert_tail(base)
-    if tap_features is None:
-        tap_features = forward_batch(base, ds.features).tap
     if negative_handling == "reweight":
-        return sgd_train(net, tap_features, ds.labels, sample_weights, cfg)
+        return sgd_train(start, base_pass.tap, ds.labels, sample_weights, cfg)
     stream = weighted_batches(ds, sample_weights, cfg.batch_size, seed=cfg.seed)
-    return sgd_train(net, tap_features, ds.labels, np.ones(len(ds)), cfg, batches=stream)
+    return sgd_train(start, base_pass.tap, ds.labels, np.ones(len(ds)), cfg, batches=stream)
 
 
 def train_ensembler(
     kind: str,
-    base: Network,
+    base_pass: ForwardPass,
     expert: Network,
     ds: LabeledDataset,
     sample_weights: np.ndarray,
     cfg: SgdConfig,
-    tap_features: np.ndarray | None = None,
-    base_probs: np.ndarray | None = None,
 ) -> Ensembler:
     """Build the combiner for one expert; only stacking has parameters to fit.
 
     Stacking learns a linear map from the concatenated base/expert
     log-probabilities back to class logits, trained with the same
-    per-sample weights the expert saw.
+    per-sample weights the expert saw.  ``base_pass`` is the base's forward
+    pass over ``ds``.
     """
     if kind != "stacking":
         return Ensembler(kind=kind)
-    if base_probs is None or tap_features is None:
-        fp = forward_batch(base, ds.features)
-        base_probs = fp.probs
-        tap_features = fp.tap
-    stacked = stacking_inputs(base_probs, forward_batch(expert, tap_features).probs)
-    c = base_probs.shape[1]
+    stacked = stacking_inputs(base_pass.probs, forward_batch(expert, base_pass.tap).probs)
+    c = base_pass.probs.shape[1]
     net = init_network([2 * c, c], tap_index=0, seed=derive_seed(cfg.seed, "init"))
     trained = sgd_train(net, stacked, ds.labels, sample_weights, cfg)
     return Ensembler(kind="stacking", weight=trained.layers[0].weight, bias=trained.layers[0].bias)
@@ -289,17 +273,18 @@ def m_step(
     ds: LabeledDataset,
     epochs: int,
     plan: TrainPlan,
-    segment: int = 1,
+    segment: int,
 ) -> tuple[Gate, list[Network]]:
     """Refit the gate to the responsibilities and continue every expert under them, smoothed.
 
-    ``base_pass`` is the base's forward pass over ``ds``.  Returns the new
-    gate and experts; the given ones are left as they are.
+    ``base_pass`` is the base's forward pass over ``ds``; ``segment`` (1 for the first
+    EM step) seeds the gate and experts.  Returns the new gate and experts; the given
+    ones are left as they are.
     """
     cfg = replace(plan.sgd_gate, seed=derive_seed(plan.seed, "gate", "segment", segment))
     gate = fit_gate(base_pass.prelogits, posterior.q, cfg, start=gate)
     weights = smooth_weights(posterior.q, plan.gamma)
-    return gate, _train_expert_set(experts, weights, ds, plan, epochs, segment, base_pass.tap)
+    return gate, _train_expert_set(experts, weights, ds, plan, epochs, segment, base_pass)
 
 
 def elbo(
@@ -437,7 +422,7 @@ def _train_expert_set(
     plan: TrainPlan,
     epochs: int,
     segment: int,
-    tap_features: np.ndarray,
+    base_pass: ForwardPass,
 ) -> list[Network]:
     """Train every expert for one segment; each depends only on its own seed, so order never matters."""
     experts = []
@@ -445,8 +430,7 @@ def _train_expert_set(
         cfg = replace(
             plan.sgd_expert, epochs=epochs, seed=derive_seed(plan.seed, "expert", k, "segment", segment)
         )
-        expert = train_expert(k, None, weights[:, k], ds, cfg, plan.negative_handling, start, tap_features)
-        experts.append(expert)
+        experts.append(train_expert(k, base_pass, weights[:, k], ds, cfg, start, plan.negative_handling))
     return experts
 
 
@@ -487,7 +471,7 @@ def run_pipeline(
     def compute_init() -> dict:
         centroids = kmeans(fp.prelogits, plan.num_experts, seed=derive_seed(plan.seed, "kmeans"))
         init = initial_gate(fp.prelogits, centroids, plan.temperature)
-        class_map = per_class_assignment(init, ds.labels)[0] if plan.routing == "per_class" else None
+        class_map = per_class_assignment(init, ds) if plan.routing == "per_class" else None
         state.update(centroids=centroids, init=init, class_map=class_map)
         return {
             "centroid_means": centroids.means,
@@ -523,7 +507,7 @@ def run_pipeline(
     # Step 3: fit the gate to the initial assignment.
     def compute_gate() -> dict:
         cfg = replace(plan.sgd_gate, seed=derive_seed(plan.seed, "gate"))
-        state["gate"] = train_gate(targets, base, ds, cfg, prelogits=fp.prelogits)
+        state["gate"] = train_gate(targets, fp, cfg)
         return {"gate": gate_to_doc(state["gate"])}
 
     gate_shape = (plan.num_experts, base.prelogit_dim)
@@ -539,7 +523,7 @@ def run_pipeline(
         lengths = segment_lengths(plan.expert_epochs, plan.em_steps)
         weights = smooth_weights(targets, plan.gamma)
         starts = [expert_tail(base)] * plan.num_experts  # sgd_train never changes its input
-        experts = _train_expert_set(starts, weights, ds, plan, lengths[0], 0, fp.tap)
+        experts = _train_expert_set(starts, weights, ds, plan, lengths[0], 0, fp)
         zero_rows = 0
         for step in range(1, plan.em_steps + 1):
             posterior = e_step(fp, gate, experts, ds.labels)
@@ -572,13 +556,11 @@ def run_pipeline(
         ensemblers = state["ensemblers"] = [
             train_ensembler(
                 plan.ensembler,
-                base,
+                fp,
                 expert,
                 ds,
                 state["final_weights"][:, k],
                 replace(plan.sgd_ensembler, seed=derive_seed(plan.seed, "ensembler", k)),
-                tap_features=fp.tap,
-                base_probs=fp.probs,
             )
             for k, expert in enumerate(state["experts"])
         ]

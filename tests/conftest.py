@@ -15,6 +15,7 @@ from moe_forge.seeding import derive_seed
 from moe_forge.training import (
     TrainPlan,
     e_step,
+    expert_tail,
     fit_gate,
     segment_lengths,
     train_base,
@@ -116,8 +117,8 @@ def staged_recipe(ds: LabeledDataset, plan: TrainPlan, order=None) -> MoEModel:
     fp = forward_batch(base, ds.features)
     centroids = kmeans(fp.prelogits, plan.num_experts, seed=derive_seed(plan.seed, "kmeans"))
     init = initial_gate(fp.prelogits, centroids, plan.temperature)
-    gate = train_gate(init.weights, base, ds, replace(plan.sgd_gate, seed=derive_seed(plan.seed, "gate")))
-    q, experts = init.weights, [None] * plan.num_experts
+    gate = train_gate(init.weights, fp, replace(plan.sgd_gate, seed=derive_seed(plan.seed, "gate")))
+    q, experts = init.weights, [expert_tail(base)] * plan.num_experts
     for segment, epochs in enumerate(segment_lengths(plan.expert_epochs, plan.em_steps)):
         if segment:
             q = e_step(fp, gate, experts, ds.labels).q
@@ -128,12 +129,12 @@ def staged_recipe(ds: LabeledDataset, plan: TrainPlan, order=None) -> MoEModel:
         for k in order:
             seed = derive_seed(plan.seed, "expert", k, "segment", segment)
             cfg = replace(plan.sgd_expert, epochs=epochs, seed=seed)
-            trained[k] = train_expert(k, base, weights[:, k], ds, cfg, plan.negative_handling, start=experts[k])
+            trained[k] = train_expert(k, fp, weights[:, k], ds, cfg, experts[k], plan.negative_handling)
         experts = trained
     ensemblers = [None] * plan.num_experts
     for k in order:
         cfg = replace(plan.sgd_ensembler, seed=derive_seed(plan.seed, "ensembler", k))
-        ensemblers[k] = train_ensembler(plan.ensembler, base, experts[k], ds, weights[:, k], cfg)
+        ensemblers[k] = train_ensembler(plan.ensembler, fp, experts[k], ds, weights[:, k], cfg)
     return MoEModel(
         base=base, gate=gate, experts=experts, ensemblers=ensemblers,
         shared_prefix=plan.tap_index + 1, centroids=centroids, temperature=init.temperature,

@@ -360,10 +360,10 @@ def test_mac_counts_match_hand_fixtures_and_never_grow_with_threshold():
     fixture = MoEModel(base=base, gate=gate, experts=experts,
                        ensemblers=[Ensembler(kind="bagging")] * 2, shared_prefix=1)
 
-    base_only = mac_count(fixture, ExecutionTrace(base=True, gate=False))
+    base_only = fixture.cost.macs_base
+    exited = mac_count(fixture, ExecutionTrace())
     routed = mac_count(fixture, ExecutionTrace(expert_tails=(0,), ensemblers=(0,)))
-    nothing = mac_count(fixture, ExecutionTrace(base=False, gate=False))
-    fixtures_ok = base_only == 56 and routed == 96 and nothing == 0
+    fixtures_ok = base_only == 56 and exited == 72 and routed == 96
 
     taus = np.linspace(0.0, 1.0, 21)
     data = blob_dataset(seed=6, num_classes=3, modes_per_class=2, dim=4,
@@ -381,7 +381,7 @@ def test_mac_counts_match_hand_fixtures_and_never_grow_with_threshold():
         monotone = monotone and bool((np.diff(macs) <= 0).all())
     elapsed = time.perf_counter() - start
     _report("mac-accounting", fixtures_ok and monotone,
-            f"fixtures 56/96/0 -> {base_only}/{routed}/{nothing}, "
+            f"fixtures 56/72/96 -> {base_only}/{exited}/{routed}, "
             f"sweep non-increasing on {len(models)} models", elapsed, 10.0)
 
 

@@ -174,7 +174,7 @@ class TestGateDisagreement:
 
     def test_identical_assignments_only_fill_the_diagonal(self, rng):
         a = rng.integers(0, 4, size=50)
-        report = gate_disagreement(a, a, rng.integers(0, 3, size=50))
+        report = gate_disagreement(a, a, rng.integers(0, 3, size=50), 4)
         assert report.fraction == 0.0
         off_diagonal = report.transition_counts.sum() - np.trace(report.transition_counts)
         assert off_diagonal == 0
@@ -184,7 +184,7 @@ class TestGateDisagreement:
         a = np.array([0, 0, 0, 1, 1, 2], dtype=np.int64)
         b = np.array([1, 1, 1, 0, 0, 0], dtype=np.int64)
         labels = np.array([0, 0, 0, 1, 1, 2], dtype=np.int64)
-        report = gate_disagreement(a, b, labels)
+        report = gate_disagreement(a, b, labels, 3)
         assert report.per_class_transitions == [
             (0, 0, 1, 3),
             (1, 1, 0, 2),
@@ -198,11 +198,11 @@ class TestGateDisagreement:
         a = np.array([0, 1], dtype=np.int64)
         b = np.array([1, 0], dtype=np.int64)
         labels = np.array([1, 0], dtype=np.int64)
-        report = gate_disagreement(a, b, labels)
+        report = gate_disagreement(a, b, labels, 2)
         assert report.per_class_transitions == [(0, 1, 0, 1), (1, 0, 1, 1)]
 
     def test_mismatched_inputs_rejected(self):
         with pytest.raises(ShapeError):
-            gate_disagreement(np.array([0, 1]), np.array([0]), np.array([0, 1]))
+            gate_disagreement(np.array([0, 1]), np.array([0]), np.array([0, 1]), 2)
         with pytest.raises(ShapeError):
-            gate_disagreement(np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+            gate_disagreement(np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.array([], dtype=np.int64), 2)

@@ -114,17 +114,6 @@ class TestThresholdRule:
         mixture = sum(ev.gate_probs[0, k] * ev.combined[k, 0] for k in range(3))
         np.testing.assert_allclose(out.probs, mixture, atol=1e-12)
 
-    def test_renormalization_never_moves_the_argmax(self, rng):
-        model = random_model(rng)
-        x = rng.normal(size=(30, 4))
-        for tau in (0.0, 0.01, 0.05, 0.2):
-            for i in range(len(x)):
-                on = anytime_predict(model, x[i], AnytimeConfig(tau=tau, renormalize=True))
-                off = anytime_predict(model, x[i], AnytimeConfig(tau=tau, renormalize=False))
-                assert on.exited == off.exited
-                assert on.macs == off.macs
-                assert int(on.probs.argmax()) == int(off.probs.argmax())
-
     def test_config_validation(self):
         with pytest.raises(ValueError, match="policy"):
             AnytimeConfig(tau=0.5, policy="oracle").validate()
@@ -491,9 +480,9 @@ class TestConditionalExecution:
                     blocks.clear()
 
 
-def dense_curve(model: MoEModel, ds: LabeledDataset, taus, policy: str, renormalize: bool = True) -> TradeoffCurve:
+def dense_curve(model: MoEModel, ds: LabeledDataset, taus, policy: str) -> TradeoffCurve:
     """The sweep from one dense evaluation: every tail on every row, each threshold decided from it."""
-    configs = [AnytimeConfig(tau, policy, renormalize) for tau in taus]
+    configs = [AnytimeConfig(tau, policy) for tau in taus]
     points = []
     for cfg, out in zip(configs, dense_outcomes(model, ds.features, configs)):
         accuracy = float((out.probs.argmax(axis=1) == ds.labels).mean())
@@ -521,14 +510,13 @@ def distinct_tap_model(rng, kind: str) -> MoEModel:
 class TestConditionalSweep:
     """A sweep runs each expert tail only on the rows some threshold executes, with the dense curve."""
 
-    @pytest.mark.parametrize("renormalize", [True, False])
     @pytest.mark.parametrize("kinds", SWEEP_MODELS)
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_curve_equals_the_dense_sweep(self, rng, policy, kinds, renormalize):
+    def test_curve_equals_the_dense_sweep(self, rng, policy, kinds):
         model = mixed_model(rng, *SWEEP_MODELS[kinds])
         ds = blob_dataset(seed=64, samples_per_mode=20)
-        curve = sweep_thresholds(model, ds, SWEEP_TAUS, policy, renormalize)
-        assert curve == dense_curve(model, ds, SWEEP_TAUS, policy, renormalize)
+        curve = sweep_thresholds(model, ds, SWEEP_TAUS, policy)
+        assert curve == dense_curve(model, ds, SWEEP_TAUS, policy)
         assert any(0 < p.exit_ratio < 1 for p in curve.points)
 
     @pytest.mark.parametrize("policy", ["base_confidence", "gate_confidence"])

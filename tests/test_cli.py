@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import moe_forge.anytime as anytime_mod
 import moe_forge.cli as cli
 import moe_forge.model as model_mod
 from moe_forge.analysis import gate_disagreement, model_reliability, oracle_per_class_eval, specialization_table
@@ -361,7 +362,7 @@ class TestEval:
         data = eval_data_file(tmp_path)
         out_dir = tmp_path / "analysis"
         base_passes, given = [], []
-        real_forward, real_evaluate, real_sweep = cli.forward_batch, cli.evaluate_dataset, cli.sweep_thresholds
+        real_forward, real_evaluate, real_points = cli.forward_batch, cli.evaluate_dataset, cli._curve_points
 
         def counting_forward(net, x):
             base_passes.append(len(x))
@@ -371,19 +372,19 @@ class TestEval:
             given.append(base is not None)
             return real_evaluate(model, x, select, base)
 
-        def checking_sweep(*args, base=None, **kwargs):
+        def checking_points(model, ds, configs, base=None):
             given.append(base is not None)
-            return real_sweep(*args, base=base, **kwargs)
+            return real_points(model, ds, configs, base)
 
         monkeypatch.setattr(cli, "forward_batch", counting_forward)
         monkeypatch.setattr(model_mod, "forward_batch", counting_forward)
         monkeypatch.setattr(cli, "evaluate_dataset", checking_evaluate)
-        monkeypatch.setattr(cli, "sweep_thresholds", checking_sweep)
+        monkeypatch.setattr(cli, "_curve_points", checking_points)
         args = ["eval", str(trained), str(data), "--taus", "0,0.1,1", "--analyze", "--out", str(out_dir)]
         assert main(args) == 0
         stdout = capsys.readouterr().out
-        # One base pass: the top-1 pass, the sweep and the analysis tables' dense pass all reuse it.
-        assert base_passes == [30] and given == [True, True, True]
+        # One base pass: the pass of top-1 routing and the sweep, and the analysis tables' dense pass, reuse it.
+        assert base_passes == [30] and given == [True, True]
 
         # The same figures, each from its own base pass as separate commands would compute them.
         monkeypatch.undo()
@@ -413,8 +414,32 @@ class TestEval:
         assert (out_dir / "specialization.csv").read_text() == table.to_csv()
         reliability = model_reliability(evaluate_dataset(model, ds.features), ds)
         assert (out_dir / "reliability.csv").read_text() == reliability.to_csv()
-        oracle = oracle_per_class_eval(evaluate_dataset(model, ds.features), per_class_assignment(init, ds.labels)[0], ds)
+        oracle = oracle_per_class_eval(evaluate_dataset(model, ds.features), per_class_assignment(init, ds), ds)
         assert f"oracle per-class accuracy: {oracle:.4f}" in lines
+
+    def test_taus_run_top1_routing_and_the_sweep_in_one_pass(self, trained, tmp_path, capsys, monkeypatch):
+        data = eval_data_file(tmp_path)
+        passes = []
+        real_evaluate = anytime_mod.evaluate_dataset
+
+        def counting_evaluate(*args, **kwargs):
+            passes.append(len(args[1]))
+            return real_evaluate(*args, **kwargs)
+
+        monkeypatch.setattr(anytime_mod, "evaluate_dataset", counting_evaluate)
+        assert main(["eval", str(trained), str(data), "--taus", "0,0.1,1", "--out", str(tmp_path / "sweep")]) == 0
+        assert passes == [30]
+
+        # The figures of a top-1 pass and a sweep run apart.
+        monkeypatch.undo()
+        model = load_model(trained)
+        ds = cli._load_eval_data(data, model.num_classes)
+        top1, curve = cli._top1(model, ds), anytime_mod.sweep_thresholds(model, ds, [0.0, 0.1, 1.0])
+        assert capsys.readouterr().out.splitlines()[2:4] == [
+            f"top-1 routed accuracy: {top1.accuracy:.4f}",
+            f"mean MACs (top-1 routing): {top1.mean_macs:.1f}",
+        ]
+        assert (tmp_path / "sweep" / "tradeoff.csv").read_text() == curve.to_csv()
 
     def test_learned_gate_policy_is_not_offered(self, trained, tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -462,12 +487,22 @@ class TestTop1Routing:
             f"mean MACs (top-1 routing): {macs:.1f}",
         ]
 
-    def test_ablate_summary_holds_the_figures(self, tmp_path):
-        assert main(["ablate", str(make_config(tmp_path)), "--axis", "gamma", "--values", "0.05"]) == 0
+    @pytest.mark.parametrize(
+        "split, scored",
+        [(None, "scored on part 0 of 1 (the training data)"), ([0.8, 0.2], "scored on part 1 of 2 (held out)")],
+        ids=["no_split", "split"],
+    )
+    def test_ablate_summary_holds_the_figures(self, tmp_path, capsys, split, scored):
+        config = make_config(tmp_path)
+        if split is not None:
+            config = config_with(tmp_path, "data", "split", {"fractions": split, "seed": 1})
+        assert main(["ablate", str(config), "--axis", "gamma", "--values", "0.05"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == scored
+        # The figures of the part it names: the last part of the config's data.
+        part = cli._load_data_block(json.loads(config.read_text())["data"], "data", tmp_path)[-1]
         root = tmp_path / "run" / "ablate" / "gamma"
         row = (root / "summary.csv").read_text().splitlines()[1].split(",")
-        want = top1_oracle(load_model(root / "0.05" / "model.json"), generate_synthetic_dataset())
-        assert (float(row[2]), float(row[3])) == want
+        assert (float(row[2]), float(row[3])) == top1_oracle(load_model(root / "0.05" / "model.json"), part)
 
 
 class TestModelJson:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from moe_forge.data import LabeledDataset
 from moe_forge.errors import ShapeError
 from moe_forge.gate_init import (
     _BLOCK_ROWS,
@@ -233,6 +234,11 @@ class TestSmoothWeights:
             smooth_weights(np.ones((2, 2)), 1.5)
 
 
+def labeled(labels, num_classes: int) -> LabeledDataset:
+    """A dataset of the given labels over ``num_classes`` classes, with one zero feature."""
+    return LabeledDataset(np.zeros((len(labels), 1)), np.asarray(labels), num_classes)
+
+
 class TestPerClassAssignment:
     def test_matches_brute_force_mean_argmax(self, rng):
         from moe_forge.gate_init import InitialGate
@@ -241,24 +247,25 @@ class TestPerClassAssignment:
         labels = rng.integers(0, 3, size=60)
         labels[:3] = [0, 1, 2]  # every class populated
         gate = InitialGate(weights=weights, temperature=1.0)
-        class_map, onehot = per_class_assignment(gate, labels)
+        class_map = per_class_assignment(gate, labeled(labels, 3))
         for cls in range(3):
             expected = weights[labels == cls].mean(axis=0).argmax()
             assert class_map[cls] == expected
-        np.testing.assert_array_equal(onehot.argmax(axis=1), class_map[labels])
-        np.testing.assert_allclose(onehot.sum(axis=1), np.ones(60))
 
     def test_tie_picks_the_lower_expert_index(self):
         from moe_forge.gate_init import InitialGate
 
         weights = np.array([[0.5, 0.5], [0.5, 0.5]])
         gate = InitialGate(weights=weights, temperature=1.0)
-        class_map, _ = per_class_assignment(gate, np.array([0, 0]))
+        class_map = per_class_assignment(gate, labeled([0, 0], 1))
         assert class_map[0] == 0
 
-    def test_unpopulated_class_rejected(self):
+    @pytest.mark.parametrize(
+        "labels, missing", [([0, 2], 1), ([0, 1], 2)], ids=["middle_class_missing", "last_class_missing"]
+    )
+    def test_unpopulated_class_rejected(self, labels, missing):
         from moe_forge.gate_init import InitialGate
 
         gate = InitialGate(weights=np.ones((2, 2)) / 2, temperature=1.0)
-        with pytest.raises(ValueError):
-            per_class_assignment(gate, np.array([0, 2]))  # class 1 missing
+        with pytest.raises(ValueError, match=f"class {missing} has no samples"):
+            per_class_assignment(gate, labeled(labels, 3))

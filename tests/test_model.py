@@ -106,13 +106,15 @@ class TestMacAccounting:
 
     def test_base_plus_expert_plus_gate_fixture(self):
         model = mac_fixture_model()
-        trace = ExecutionTrace(base=True, gate=True, expert_tails=(0,), ensemblers=(0,))
+        trace = ExecutionTrace(expert_tails=(0,), ensemblers=(0,))
         # 56 (base) + 16 (gate 8x2) + 24 (tail 8x3) + 0 (bagging)
         assert mac_count(model, trace) == 96
 
-    def test_base_only_trace(self):
+    def test_empty_trace_charges_the_base_and_gate(self):
         model = mac_fixture_model()
-        assert mac_count(model, ExecutionTrace(base=True, gate=False)) == 56
+        assert model.cost.macs_base == 56
+        # 56 (base) + 16 (gate 8x2): an early exit
+        assert mac_count(model, ExecutionTrace()) == 72
 
     def test_bagging_and_none_cost_nothing(self):
         for kind in ("bagging", "none", "top2"):
@@ -155,8 +157,8 @@ class TestMacAccounting:
             tails = {j for j in chosen if kinds[j] != "top2"}
             if any(kinds[j] == "top2" for j in chosen):
                 tails |= set(np.argsort(-ev.gate_probs[i], kind="stable")[:2].tolist())
-            trace = ExecutionTrace(base=False, gate=False, expert_tails=tuple(sorted(tails)), ensemblers=chosen)
-            assert got[i] == mac_count(model, trace)
+            trace = ExecutionTrace(expert_tails=tuple(sorted(tails)), ensemblers=chosen)
+            assert got[i] == mac_count(model, trace) - model.cost.macs_base - model.cost.macs_gate
 
 
 class TestModelOutputs:

@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from moe_forge.data import weighted_batches
+from moe_forge.data import LabeledDataset, weighted_batches
 from moe_forge.errors import PipelineError, ShapeError
 from moe_forge.gate_init import initial_gate, kmeans
 from moe_forge.jsonio import dumps
@@ -214,11 +214,11 @@ class TestTrainGate:
         # should match it closely in total variation.
         ds = blob_dataset(seed=3, num_classes=3, samples_per_mode=60)
         base = train_base(ds, [4, 6, 3], 0, SgdConfig(epochs=10, seed=0))
-        prelogits = forward_batch(base, ds.features).prelogits
-        centroids = kmeans(prelogits, 3, seed=5)
-        init = initial_gate(prelogits, centroids)
-        gate = train_gate(init.weights, base, ds, SgdConfig(learning_rate=0.5, epochs=60, seed=0))
-        tv = 0.5 * np.abs(gate.distribution_batch(prelogits) - init.weights).sum(axis=1)
+        fp = forward_batch(base, ds.features)
+        centroids = kmeans(fp.prelogits, 3, seed=5)
+        init = initial_gate(fp.prelogits, centroids)
+        gate = train_gate(init.weights, fp, SgdConfig(learning_rate=0.5, epochs=60, seed=0))
+        tv = 0.5 * np.abs(gate.distribution_batch(fp.prelogits) - init.weights).sum(axis=1)
         assert tv.mean() <= 0.05
 
 
@@ -251,36 +251,33 @@ class TestTrainExpert:
     def setup_method(self):
         self.ds = blob_dataset(seed=11, samples_per_mode=40)
         self.base = train_base(self.ds, [4, 6, 3], 0, SgdConfig(epochs=6, seed=0))
-        self.tap = forward_batch(self.base, self.ds.features).tap
+        self.fp = forward_batch(self.base, self.ds.features)
+        self.tap = self.fp.tap
+        self.start = expert_tail(self.base)
 
     def test_zero_total_weight_rejected(self):
         with pytest.raises(ValueError, match="weight"):
-            train_expert(0, self.base, np.zeros(len(self.ds)), self.ds, SgdConfig(epochs=1))
+            train_expert(0, self.fp, np.zeros(len(self.ds)), self.ds, SgdConfig(epochs=1), self.start)
 
     def test_unknown_negative_handling_rejected(self):
         with pytest.raises(ValueError, match="negative_handling"):
-            train_expert(
-                0, self.base, np.ones(len(self.ds)), self.ds, SgdConfig(epochs=1),
-                negative_handling="drop",
-            )
+            train_expert(0, self.fp, np.ones(len(self.ds)), self.ds, SgdConfig(epochs=1), self.start, "drop")
 
     def test_wrong_weight_shape_rejected(self):
         with pytest.raises(ShapeError):
-            train_expert(0, self.base, np.ones(3), self.ds, SgdConfig(epochs=1))
+            train_expert(0, self.fp, np.ones(3), self.ds, SgdConfig(epochs=1), self.start)
 
     def test_reweight_training_reduces_weighted_loss(self):
         w = np.where(self.ds.labels == 0, 1.0, 0.05)
-        before = dataset_loss(expert_tail(self.base), self.tap, self.ds.labels, w)
-        expert = train_expert(0, self.base, w, self.ds, SgdConfig(epochs=8, seed=1))
+        before = dataset_loss(self.start, self.tap, self.ds.labels, w)
+        expert = train_expert(0, self.fp, w, self.ds, SgdConfig(epochs=8, seed=1), self.start)
         after = dataset_loss(expert, self.tap, self.ds.labels, w)
         assert after < before
 
     def test_sampled_training_reduces_weighted_loss(self):
         w = np.where(self.ds.labels == 1, 1.0, 0.05)
-        before = dataset_loss(expert_tail(self.base), self.tap, self.ds.labels, w)
-        expert = train_expert(
-            0, self.base, w, self.ds, SgdConfig(epochs=8, seed=1), negative_handling="sample"
-        )
+        before = dataset_loss(self.start, self.tap, self.ds.labels, w)
+        expert = train_expert(0, self.fp, w, self.ds, SgdConfig(epochs=8, seed=1), self.start, "sample")
         after = dataset_loss(expert, self.tap, self.ds.labels, w)
         assert after < before
 
@@ -289,8 +286,8 @@ class TestTrainExpert:
         # should produce different parameters yet both favor the upweighted class.
         w = np.where(self.ds.labels == 2, 1.0, 0.05)
         cfg = SgdConfig(epochs=8, seed=3)
-        reweighted = train_expert(0, self.base, w, self.ds, cfg, negative_handling="reweight")
-        sampled = train_expert(0, self.base, w, self.ds, cfg, negative_handling="sample")
+        reweighted = train_expert(0, self.fp, w, self.ds, cfg, self.start, "reweight")
+        sampled = train_expert(0, self.fp, w, self.ds, cfg, self.start, "sample")
         assert not np.array_equal(reweighted.layers[-1].weight, sampled.layers[-1].weight)
         mask = self.ds.labels == 2
         for net in (reweighted, sampled):
@@ -299,8 +296,8 @@ class TestTrainExpert:
 
     def test_given_start_continues_training_it(self):
         w = np.ones(len(self.ds))
-        first = train_expert(0, self.base, w, self.ds, SgdConfig(epochs=2, seed=4))
-        second = train_expert(0, self.base, w, self.ds, SgdConfig(epochs=2, seed=5), start=first)
+        first = train_expert(0, self.fp, w, self.ds, SgdConfig(epochs=2, seed=4), self.start)
+        second = train_expert(0, self.fp, w, self.ds, SgdConfig(epochs=2, seed=5), first)
         assert not np.array_equal(first.layers[-1].weight, second.layers[-1].weight)
 
     @pytest.mark.parametrize("net_dims", [[6, 3], [6, 5, 3]], ids=["linear", "relu"])
@@ -309,7 +306,7 @@ class TestTrainExpert:
         cfg = SgdConfig(learning_rate=0.1, momentum=0.9, batch_size=32, epochs=5,
                         lr_decay_epochs=(3,), seed=6)
         start = init_network(net_dims, tap_index=0, seed=8)
-        got = train_expert(0, self.base, w, self.ds, cfg, negative_handling="sample", start=start)
+        got = train_expert(0, self.fp, w, self.ds, cfg, start, "sample")
         want = old_sgd_train_sampled(start, self.tap, self.ds.labels, self.ds, w, cfg)
         for a, b in zip(got.layers, want.layers):
             assert np.array_equal(a.weight, b.weight) and np.array_equal(a.bias, b.bias)
@@ -319,8 +316,9 @@ class TestTrainEnsembler:
     def test_parameter_free_kinds_need_no_training(self):
         ds = blob_dataset(seed=1, samples_per_mode=10)
         base = init_network([4, 6, 3], 0, seed=0)
+        fp = forward_batch(base, ds.features)
         for kind in ("none", "bagging", "top2"):
-            ens = train_ensembler(kind, base, expert_tail(base), ds, np.ones(len(ds)), SgdConfig())
+            ens = train_ensembler(kind, fp, expert_tail(base), ds, np.ones(len(ds)), SgdConfig())
             assert ens.kind == kind and ens.weight is None
 
     def test_stacking_fits_a_combiner_at_least_as_good_as_the_expert(self):
@@ -328,10 +326,8 @@ class TestTrainEnsembler:
         base = train_base(ds, [4, 6, 3], 0, SgdConfig(epochs=8, seed=0))
         fp = forward_batch(base, ds.features)
         w = np.ones(len(ds))
-        expert = train_expert(0, base, w, ds, SgdConfig(epochs=6, seed=1))
-        ens = train_ensembler(
-            "stacking", base, expert, ds, w, SgdConfig(learning_rate=0.2, epochs=40, seed=2)
-        )
+        expert = train_expert(0, fp, w, ds, SgdConfig(epochs=6, seed=1), expert_tail(base))
+        ens = train_ensembler("stacking", fp, expert, ds, w, SgdConfig(learning_rate=0.2, epochs=40, seed=2))
         assert ens.weight.shape == (3, 6)
         from moe_forge.model import apply_ensembler
 
@@ -339,6 +335,33 @@ class TestTrainEnsembler:
         combined = apply_ensembler(ens, fp.probs, expert_probs)
         nll = lambda p: -np.log(p[np.arange(len(ds)), ds.labels]).mean()
         assert nll(combined) <= nll(expert_probs) + 0.05
+
+
+class TestBasePassRows:
+    """Each stage reads the caller's base pass over the training rows; a pass over other rows is rejected."""
+
+    def setup_method(self):
+        self.ds = blob_dataset(seed=5, samples_per_mode=20)
+        self.base = init_network([4, 6, 3], 0, seed=0)
+        self.short = forward_batch(self.base, self.ds.features[:-1])
+
+    def test_gate(self):
+        with pytest.raises(ShapeError):
+            train_gate(np.full((len(self.ds), 2), 0.5), self.short, SgdConfig(epochs=1))
+
+    @pytest.mark.parametrize("negative_handling", ["reweight", "sample"])
+    def test_expert(self, negative_handling):
+        with pytest.raises(ShapeError):
+            train_expert(
+                0, self.short, np.ones(len(self.ds)), self.ds, SgdConfig(epochs=1), expert_tail(self.base),
+                negative_handling,
+            )
+
+    def test_stacking_ensembler(self):
+        with pytest.raises(ShapeError):
+            train_ensembler(
+                "stacking", self.short, expert_tail(self.base), self.ds, np.ones(len(self.ds)), SgdConfig(epochs=1)
+            )
 
 
 def uniform_gate_model(num_experts: int, num_classes: int, expert_biases: list[np.ndarray]):
@@ -417,7 +440,7 @@ class TestMStep:
         q = np.zeros((len(ds), 2))
         q[:, 0] = 1.0
         model = result.model
-        gate, _ = m_step(result.base_pass, model.gate, model.experts, Posterior(q=q), ds, epochs=2, plan=plan)
+        gate, _ = m_step(result.base_pass, model.gate, model.experts, Posterior(q=q), ds, epochs=2, plan=plan, segment=1)
         routed = gate.distribution_batch(result.base_pass.prelogits).argmax(axis=1)
         assert (routed == 0).mean() >= 0.9
 
@@ -431,7 +454,7 @@ class TestMStep:
         before = dumps(model_to_doc(model))
         tap, prelogits = fp.tap.copy(), fp.prelogits.copy()
         post = e_step(fp, model.gate, model.experts, ds.labels)
-        gate, experts = m_step(fp, model.gate, model.experts, post, ds, epochs=1, plan=plan)
+        gate, experts = m_step(fp, model.gate, model.experts, post, ds, epochs=1, plan=plan, segment=1)
         assert gate is not model.gate and experts[0] is not model.experts[0]
         assert not np.array_equal(experts[0].layers[-1].weight, model.experts[0].layers[-1].weight)
         assert dumps(model_to_doc(model)) == before
@@ -577,6 +600,15 @@ class TestPipeline:
         result = run_pipeline(ds, small_plan(routing="per_class"))
         assert result.class_map.shape == (3,)
         assert set(np.unique(result.class_map)) <= {0, 1}
+
+    def test_per_class_routing_rejects_a_training_set_without_its_last_class(self):
+        # The class map has one entry per class of the dataset, so a class without training
+        # rows has no expert, whether it is a middle class or the last.
+        ds = blob_dataset(seed=46, samples_per_mode=20)
+        keep = ds.labels < 2
+        ds = LabeledDataset(ds.features[keep], ds.labels[keep], ds.num_classes)
+        with pytest.raises(ValueError, match="class 2 has no samples"):
+            run_pipeline(ds, small_plan(routing="per_class"))
 
     def test_mismatched_layer_dims_rejected(self):
         ds = blob_dataset(seed=47, samples_per_mode=5)
