@@ -153,6 +153,8 @@ def gate_disagreement(
         raise ShapeError("assignments and labels must be matching 1-d arrays")
     if len(assign_a) == 0:
         raise ShapeError("need at least one sample")
+    if min(assign_a.min(), assign_b.min()) < 0 or max(assign_a.max(), assign_b.max()) >= num_experts:
+        raise ShapeError(f"assignments must name experts 0..{num_experts - 1}")
     counts = np.zeros((num_experts, num_experts), dtype=np.int64)
     np.add.at(counts, (assign_a, assign_b), 1)
     fraction = float((assign_a != assign_b).mean())

@@ -206,3 +206,10 @@ class TestGateDisagreement:
             gate_disagreement(np.array([0, 1]), np.array([0]), np.array([0, 1]), 2)
         with pytest.raises(ShapeError):
             gate_disagreement(np.array([], dtype=np.int64), np.array([], dtype=np.int64), np.array([], dtype=np.int64), 2)
+
+    @pytest.mark.parametrize("absent", [3, -1], ids=["past_the_last_expert", "negative"])
+    def test_assignment_naming_an_absent_expert_rejected(self, absent):
+        a = np.array([0, 1, 2], dtype=np.int64)
+        b = np.array([0, absent, 2], dtype=np.int64)
+        with pytest.raises(ShapeError, match=r"experts 0\.\.2"):
+            gate_disagreement(a, b, np.zeros(3, dtype=np.int64), 3)

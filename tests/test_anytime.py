@@ -114,6 +114,22 @@ class TestThresholdRule:
         mixture = sum(ev.gate_probs[0, k] * ev.combined[k, 0] for k in range(3))
         np.testing.assert_allclose(out.probs, mixture, atol=1e-12)
 
+    @pytest.mark.parametrize("tau", [0.0, 0.01, 0.05, 0.2])
+    def test_gate_weights_renormalize_over_the_executed_experts(self, rng, tau):
+        model = random_model(rng)
+        x = rng.normal(size=(30, 4))
+        for i in range(len(x)):
+            out = anytime_predict(model, x[i], AnytimeConfig(tau=tau))
+            ev = evaluate_dataset(model, x[i : i + 1])
+            if out.exited:
+                np.testing.assert_array_equal(out.probs, ev.base.probs[0])
+                continue
+            run = list(out.executed_experts)
+            weights = ev.gate_probs[0, run] / ev.gate_probs[0, run].sum()
+            mixture = sum(w * ev.combined[k, 0] for w, k in zip(weights, run))
+            np.testing.assert_allclose(out.probs, mixture, atol=1e-12)
+            assert out.probs.sum() == pytest.approx(1.0, abs=1e-12)
+
     def test_config_validation(self):
         with pytest.raises(ValueError, match="policy"):
             AnytimeConfig(tau=0.5, policy="oracle").validate()

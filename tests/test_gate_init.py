@@ -10,6 +10,7 @@ from moe_forge.data import LabeledDataset
 from moe_forge.errors import ShapeError
 from moe_forge.gate_init import (
     _BLOCK_ROWS,
+    _MAX_ITERS,
     Centroids,
     _sq_distances,
     initial_gate,
@@ -73,6 +74,17 @@ class TestKmeans:
         cent = kmeans(points, 3, seed=0)
         assert cent.means.shape == (3, 2)
         assert np.all(np.isfinite(cent.means))
+
+    def test_separated_blobs_converge_before_the_iteration_cap(self, rng):
+        centres = np.array([[0.0, 0.0], [50.0, 0.0], [0.0, 50.0]])
+        points = np.concatenate([c + rng.normal(size=(20, 2)) for c in centres])
+        cent = kmeans(points, 3, seed=0)
+        assert len(cent.inertia_history) < _MAX_ITERS
+        # The last update moved no centroid, so it left the inertia unchanged.
+        assert cent.inertia_history[-1] == pytest.approx(cent.inertia_history[-2], rel=1e-12)
+        found = sorted(map(tuple, np.round(cent.means, 6)))
+        expected = sorted(map(tuple, np.round([points[20 * j : 20 * (j + 1)].mean(axis=0) for j in range(3)], 6)))
+        assert found == expected
 
     def test_more_clusters_than_points_rejected(self, rng):
         with pytest.raises(ValueError):

@@ -116,6 +116,16 @@ class TestMacAccounting:
         # 56 (base) + 16 (gate 8x2): an early exit
         assert mac_count(model, ExecutionTrace()) == 72
 
+    @pytest.mark.parametrize(
+        "tails, ensemblers, expected",
+        [((), (), 72), ((1,), (1,), 114), ((0, 1), (0, 1), 156)],
+        ids=["exit", "one_expert", "both_experts"],
+    )
+    def test_every_trace_charges_the_base_and_gate(self, tails, ensemblers, expected):
+        model = mac_fixture_model("stacking")
+        # 56 (base) + 16 (gate 8x2), then 24 (tail 8x3) + 18 (stacking) per expert
+        assert mac_count(model, ExecutionTrace(tails, ensemblers)) == expected
+
     def test_bagging_and_none_cost_nothing(self):
         for kind in ("bagging", "none", "top2"):
             model = mac_fixture_model(kind)
