@@ -3,14 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .data import LabeledDataset
 from .errors import ShapeError
 from .model import ModelEval
-from .nn import PROB_FLOOR
 
 
 @dataclass

@@ -140,7 +140,7 @@ def _predict_batch(
             probs[exited] = ev.base.probs[exited]
         # base_confidence's exit test only needs the base output, so its exits skip the gate.
         gate_ran = ~exited if cfg.policy == "base_confidence" else True
-        macs = cost.macs_base + gate_ran * cost.macs_gate + slot_macs(model, ev.gate_probs, executed)
+        macs = cost.macs_base + gate_ran * cost.macs_gate + slot_macs(model, executed)
         outcomes.append(_BatchOutcome(probs, exited, executed, macs))
     return outcomes
 
@@ -148,8 +148,10 @@ def _predict_batch(
 def anytime_predict(model: MoEModel, x: np.ndarray, cfg: AnytimeConfig) -> PredictOutcome:
     """Predict one sample under the early-exit rule, running only the experts it picks.
 
-    tau=1 always exits (scores never reach 1), reproducing the base
-    model's output exactly; tau=0 never exits and runs every expert.
+    Under alpha_threshold tau=1 always exits (scores never reach 1), giving the base output
+    exactly, and tau=0 runs every expert.  base_confidence exits every row at tau=0, and at
+    tau=1 only rows whose base maximum is exactly 1.0; gate_confidence runs the argmax expert
+    at tau=0, and at tau=1 still runs it on rows whose gate maximum is exactly 1.0 in float64.
     """
     (out,) = _predict_batch(model, np.asarray(x, dtype=np.float64)[None, :], [cfg])
     return PredictOutcome(
@@ -235,8 +237,8 @@ def select_threshold(
 ) -> float:
     """Largest threshold whose accuracy stays within max_accuracy_drop of tau=0.
 
-    tau=0 (run everything) is the reference; returns 0.0 when no
-    candidate threshold qualifies.
+    tau=0 is the reference (it runs every expert under alpha_threshold);
+    returns 0.0 when no candidate threshold qualifies.
     """
     curve = sweep_thresholds(model, ds, [0.0, *taus], policy)
     ref_acc = curve.points[0].accuracy

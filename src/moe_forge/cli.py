@@ -291,6 +291,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             f"data has dim {ds.dim} / {ds.num_classes} classes, model expects "
             f"{model.base.input_dim} / {model.num_classes}"
         )
+    if args.analyze and model.centroids is not None:
+        # The oracle per-class figure maps every class to an expert, so each class needs rows.
+        missing = np.flatnonzero(np.bincount(ds.labels, minlength=ds.num_classes) == 0).tolist()
+        if missing:
+            raise ConfigError(f"--analyze needs rows of every class; {args.data} has none of class {missing}")
     fp = forward_batch(model.base, ds.features)  # shared by every figure below that needs it
     base_acc = float((fp.probs.argmax(axis=1) == ds.labels).mean())
     # Top-1 routing and every threshold of the sweep, from one conditional pass.

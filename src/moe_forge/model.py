@@ -9,7 +9,6 @@ is counted once and every executed expert adds only its tail.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -28,7 +27,7 @@ from .nn import (
     softmax,
 )
 
-ENSEMBLER_KINDS = ("none", "bagging", "stacking", "top2")
+ENSEMBLER_KINDS = ("none", "bagging", "stacking")
 
 # Rows per block of a stacked tail pass: a [8, 256, 256] float64 hidden block is 4 MB.  No block
 # has 1 row unless N does: numpy runs that as a matrix-vector product, which rounds differently.
@@ -68,7 +67,6 @@ class Ensembler:
       none     - pass the expert probabilities through
       bagging  - elementwise mean of base and expert probabilities
       stacking - linear map over concatenated log-probabilities, softmaxed
-      top2     - plain mean of the gate's two strongest experts (skips the base)
     """
 
     kind: str
@@ -125,14 +123,13 @@ class MoEModel:
     def __post_init__(self) -> None:
         self.validate()
         self.cost = make_cost_model(self)
-        # Constants of every conditional-execution call (_slot_tails, slot_macs), built once.
+        # Constants of every conditional-execution call (evaluate_dataset, slot_macs), built once.
         kinds = np.array([ens.kind for ens in self.ensemblers])
-        self._kinds, self._top2 = set(kinds.tolist()), kinds == "top2"
+        self._kinds, self._stacking = set(kinds.tolist()), kinds == "stacking"
         self._bagging, self._none = (kinds == "bagging")[:, None, None], (kinds == "none")[:, None, None]
-        self._looped = ~(self._bagging | self._none)[:, 0, 0]
         self._stacks = _stack_tails(self.experts)
-        self._tail_macs = np.asarray(self.cost.macs_expert_tail)
-        self._ensembler_macs = np.asarray(self.cost.macs_ensembler)
+        # [K] MACs of each slot: its expert's tail plus its ensembler.
+        self._slot_macs = np.asarray(self.cost.macs_expert_tail) + np.asarray(self.cost.macs_ensembler)
 
     def validate(self) -> None:
         if not self.experts:
@@ -266,11 +263,6 @@ def apply_ensembler(ens: Ensembler, base_probs: np.ndarray, expert_probs: np.nda
     return softmax(stacking_inputs(base_probs, expert_probs) @ ens.weight.T + ens.bias)
 
 
-def _top_pair(gate_probs: np.ndarray) -> np.ndarray:
-    """[N, 2] gate's two strongest experts; with one expert, that expert twice."""
-    return np.argsort(-gate_probs, axis=1, kind="stable")[:, [0, min(1, gate_probs.shape[1] - 1)]]
-
-
 @dataclass
 class ModelEval:
     """Cached per-dataset forward passes shared by inference and analysis."""
@@ -280,11 +272,6 @@ class ModelEval:
     expert_probs: np.ndarray  # [K, N, C] raw expert outputs, zero where a tail did not run
     combined: np.ndarray  # [K, N, C] ensembled outputs e'_k, zero where a slot did not run
 
-    @cached_property
-    def top_pair(self) -> np.ndarray:
-        """[N, 2] gate's two strongest experts, computed on first read."""
-        return _top_pair(self.gate_probs)
-
 
 def top1_slots(model: MoEModel, gate_probs: np.ndarray) -> np.ndarray:
     """[N, K] one-hot slots of the gate's argmax expert; ties pick the lower index."""
@@ -292,22 +279,9 @@ def top1_slots(model: MoEModel, gate_probs: np.ndarray) -> np.ndarray:
     return np.arange(model.num_experts) == chosen[:, None]
 
 
-def _slot_tails(model: MoEModel, gate_probs: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """[N, K] tails the [N, K] slots need: a top2 slot its row's top pair, any other its own."""
-    if "top2" not in model._kinds:
-        return slots
-    top2 = model._top2
-    tails = slots & ~top2
-    rows = slots[:, top2].any(axis=1)
-    pair = _top_pair(gate_probs[rows])
-    tails[rows, pair[:, 0]] = True
-    tails[rows, pair[:, 1]] = True
-    return tails
-
-
-def slot_macs(model: MoEModel, gate_probs: np.ndarray, slots: np.ndarray) -> np.ndarray:
-    """[N] MACs of the given ensembler slots plus the expert tails they need."""
-    return _slot_tails(model, gate_probs, slots) @ model._tail_macs + slots @ model._ensembler_macs
+def slot_macs(model: MoEModel, slots: np.ndarray) -> np.ndarray:
+    """[N] MACs of the given [N, K] ensembler slots, each with its own expert tail."""
+    return slots @ model._slot_macs
 
 
 def _row_sets(mask: np.ndarray):
@@ -338,7 +312,7 @@ def evaluate_dataset(
     The shared prefix, base tail and gate always run on every row.  Without
     ``select`` every expert tail and ensembler runs on every row too.  Given
     ``select(base probs, gate probs) -> [N, K] bool`` ensembler slots, only
-    the slots it selects and the expert tails they need run on each row; the
+    the slots it selects and their own expert tails run on each row; the
     outputs of the rest stay zero; a stack of tails that all run on every row
     runs as one batched product per layer.  ``base`` is the base's forward pass
     over ``x`` when the caller already holds it; it is then not run again.
@@ -352,18 +326,17 @@ def evaluate_dataset(
     n, c = fp.probs.shape
 
     if select is None:
-        slots = tails = np.ones((n, k), dtype=bool)
+        slots = np.ones((n, k), dtype=bool)
     else:
         slots = np.asarray(select(fp.probs, gate_probs), dtype=bool)
         if slots.shape != (n, k):
             raise ShapeError(f"slot selector must return [{n}, {k}], got {slots.shape}")
         if not slots.any():
             return ModelEval(fp, gate_probs, np.zeros((k, n, c)), np.zeros((k, n, c)))
-        tails = _slot_tails(model, gate_probs, slots)
 
     expert_probs = np.zeros((k, n, c))
     for cols, stack, alone in model._stacks:
-        need = tails[:, cols]
+        need = slots[:, cols]
         if np.logical_and.reduce(need, axis=None):
             parts = max(1, -(-n // _BLOCK_ROWS))  # near-equal row blocks
             for rows in (slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)):
@@ -382,13 +355,8 @@ def evaluate_dataset(
         ev.combined *= 0.5
     if "none" in model._kinds:
         np.copyto(ev.combined, expert_probs, where=slots.T[:, :, None] & model._none)
-    for j, rows in _row_sets(slots & model._looped) if model._kinds & {"stacking", "top2"} else ():
-        ens = model.ensemblers[j]
-        if ens.kind == "top2":
-            pair, at = ev.top_pair[rows], np.arange(n)[rows]
-            ev.combined[j, rows] = 0.5 * (expert_probs[pair[:, 0], at] + expert_probs[pair[:, 1], at])
-        else:
-            ev.combined[j, rows] = apply_ensembler(ens, fp.probs[rows], expert_probs[j, rows])
+    for j, rows in _row_sets(slots & model._stacking) if "stacking" in model._kinds else ():
+        ev.combined[j, rows] = apply_ensembler(model.ensemblers[j], fp.probs[rows], expert_probs[j, rows])
     return ev
 
 

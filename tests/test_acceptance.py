@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import blob_dataset, random_model, staged_recipe
+from conftest import blob_dataset, mixed_model, random_model, staged_recipe
 from test_nn import max_grad_rel_error, sample_safe_case
 
 from moe_forge.analysis import oracle_per_class_eval
@@ -373,7 +373,7 @@ def test_mac_counts_match_hand_fixtures_and_never_grow_with_threshold():
         _small_trained_model(),
         random_model(np.random.default_rng(3), ensembler="stacking"),
         random_model(np.random.default_rng(4), ensembler="none"),
-        random_model(np.random.default_rng(5), ensembler="top2"),
+        mixed_model(np.random.default_rng(5), ("stacking", "none", "bagging", "stacking"), (5, 2, 5, 9)),
     ]
     for m in models:
         curve = sweep_thresholds(m, data, taus)

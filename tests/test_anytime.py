@@ -22,7 +22,7 @@ from moe_forge.anytime import (
 from moe_forge.data import LabeledDataset
 from moe_forge import anytime as anytime_mod
 from moe_forge import model as model_mod
-from moe_forge.model import Ensembler, Gate, MoEModel, evaluate_dataset
+from moe_forge.model import ENSEMBLER_KINDS, Ensembler, ExecutionTrace, Gate, MoEModel, evaluate_dataset, mac_count
 from moe_forge.nn import Layer, Network, forward_batch
 
 from conftest import blob_dataset, mixed_model, random_model, random_network
@@ -355,7 +355,6 @@ class TestSelectThreshold:
         assert select_threshold(model, ds, taus, drop) == expected
 
 
-ENSEMBLER_KINDS = ("none", "bagging", "stacking", "top2")
 POLICY_TAUS = (0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 ONE_HOT = np.eye(4, dtype=bool)  # the slots of one expert of four
 
@@ -455,21 +454,19 @@ class TestConditionalExecution:
         partial = 0
         for row in rng.normal(size=(25, 4)):
             fp = forward_batch(model.base, row[None, :])
-            pair = np.argsort(-model.gate.distribution_batch(fp.prelogits)[0], kind="stable")[:2].tolist()
-            tails_for = lambda slots: (sorted(pair) if slots else []) if kind == "top2" else sorted(slots)
             out = anytime_predict(model, row, AnytimeConfig(tau=1.0))
             assert out.exited and not runs
             out = anytime_predict(model, row, AnytimeConfig(tau=0.0))
             assert out.executed_experts == (0, 1, 2, 3)
-            assert experts_run_on(runs, fp.tap[0]) == tails_for([0, 1, 2, 3])
+            assert experts_run_on(runs, fp.tap[0]) == [0, 1, 2, 3]
             runs.clear()
             out = anytime_predict(model, row, AnytimeConfig(tau=0.1))
-            assert experts_run_on(runs, fp.tap[0]) == tails_for(list(out.executed_experts))
+            assert experts_run_on(runs, fp.tap[0]) == list(out.executed_experts)
             partial += 0 < len(out.executed_experts) < 4
             runs.clear()
             _, chosen = model.top1_predict(row)
             evaluate_dataset(model, row[None, :], lambda base_probs, gate_probs: ONE_HOT[3][None, :])
-            assert experts_run_on(runs, fp.tap[0]) == sorted(tails_for([chosen]) + tails_for([3]))
+            assert experts_run_on(runs, fp.tap[0]) == sorted([chosen, 3])
             runs.clear()
         assert partial > 0
 
@@ -477,7 +474,7 @@ class TestConditionalExecution:
         block = model_mod._BLOCK_ROWS
         x = rng.normal(size=(2 * block + 1, 4))
         for widths in ((6, 6, 6, 6), (2, 5, 2, 9)):  # one stack; three, one of them experts 0 and 2
-            scaffold = random_model(rng, num_experts=4, ensembler="top2")
+            scaffold = random_model(rng, num_experts=4, ensembler="none")
             scaffold.base.layers[0].bias += 10.0  # no relu zeros, so each row has its own tap
             experts = [random_network(rng, [6, width, 3]) for width in widths]
             model = MoEModel(scaffold.base, scaffold.gate, experts, scaffold.ensemblers, shared_prefix=1)
@@ -511,8 +508,7 @@ SWEEP_MODELS = {  # ensembler kinds and tail widths
     "none": (("none",) * 4, (6,) * 4),
     "bagging": (("bagging",) * 4, (6,) * 4),
     "stacking": (("stacking",) * 4, (6,) * 4),
-    "top2": (("top2",) * 4, (6,) * 4),
-    "mixed": (("top2", "stacking", "none", "bagging"), (5, 2, 5, 9)),
+    "mixed": (("stacking", "none", "bagging", "stacking"), (5, 2, 5, 9)),
 }
 
 
@@ -549,11 +545,10 @@ class TestConditionalSweep:
             cut = float(np.median(gate.max(axis=1)))
             taus, running = (cut, (cut + 1) / 2, 1.0), gate.max(axis=1) >= cut
         assert 0 < running.sum() < len(ds)
-        order = np.argsort(-gate, axis=1, kind="stable")
-        tails = order[:, :2] if kind == "top2" else order[:, :1]
+        chosen = gate.argmax(axis=1)
         runs = count_tail_runs(monkeypatch, model)
         curve = sweep_thresholds(model, ds, taus, policy)
-        assert runs == Counter({(int(j), fp.tap[i].tobytes()): 1 for i in np.flatnonzero(running) for j in tails[i]})
+        assert runs == Counter({(int(chosen[i]), fp.tap[i].tobytes()): 1 for i in np.flatnonzero(running)})
         assert curve == dense_curve(model, ds, taus, policy)
 
     @pytest.mark.parametrize("kind", ENSEMBLER_KINDS)
@@ -565,14 +560,9 @@ class TestConditionalSweep:
         blocks = []
         runs = count_tail_runs(monkeypatch, model, blocks)
         sweep_thresholds(model, ds, SWEEP_TAUS)
-        if kind == "top2":  # top2 slots need only their row's top pair, each tail alone on its rows
-            gate = model.gate.distribution_batch(fp.prelogits)
-            pairs = np.argsort(-gate, axis=1, kind="stable")[:, :2]
-            assert runs == Counter({(int(j), taps[i]): 1 for i in range(len(ds)) for j in pairs[i]})
-            assert not blocks
-        else:  # every tail on every row, as one stack in row blocks
-            assert runs == Counter({(j, key): 1 for j in range(4) for key in taps})
-            assert sum(blocks) == len(ds)
+        # every tail on every row, as one stack in row blocks
+        assert runs == Counter({(j, key): 1 for j in range(4) for key in taps})
+        assert sum(blocks) == len(ds)
 
     @pytest.mark.parametrize(
         "policy, taus",
@@ -585,6 +575,27 @@ class TestConditionalSweep:
         curve = sweep_thresholds(model, ds, taus, policy)
         assert not runs
         assert [p.exit_ratio for p in curve.points] == [1.0] * len(taus)
+
+    def test_gate_confidence_at_tau_one_runs_the_rows_of_a_saturated_gate(self, rng, monkeypatch):
+        # gate_confidence exits a row when its gate maximum is below tau, so at tau=1 a row whose
+        # gate maximum is exactly 1.0 in float64 runs its argmax expert and pays for it.
+        model = distinct_tap_model(rng, "stacking")
+        ds = blob_dataset(seed=67, samples_per_mode=10)
+        fp = forward_batch(model.base, ds.features)
+        while not (model.gate.distribution_batch(fp.prelogits).max(axis=1) == 1.0).any():
+            model.gate.weight *= 2.0
+        gate = model.gate.distribution_batch(fp.prelogits)
+        saturated, chosen = gate.max(axis=1) == 1.0, gate.argmax(axis=1)
+        assert 0 < saturated.sum() < len(ds)
+        runs = count_tail_runs(monkeypatch, model)
+        (point,) = sweep_thresholds(model, ds, [1.0], "gate_confidence").points
+        assert runs == Counter({(int(chosen[i]), fp.tap[i].tobytes()): 1 for i in np.flatnonzero(saturated)})
+        traces = [ExecutionTrace((int(j),), (int(j),)) if run else ExecutionTrace() for j, run in zip(chosen, saturated)]
+        macs = np.array([mac_count(model, trace) for trace in traces])
+        assert (point.exit_ratio, point.mean_macs) == ((~saturated).mean(), macs.mean())
+        for i in np.flatnonzero(saturated)[:3]:
+            out = anytime_predict(model, ds.features[i], AnytimeConfig(1.0, "gate_confidence"))
+            assert not out.exited and out.executed_experts == (chosen[i],) and out.macs == macs[i]
 
     @pytest.mark.parametrize("policy", ["alpha_threshold", "base_confidence", "gate_confidence"])
     def test_wide_tails_stay_within_rounding_of_the_dense_pass(self, rng, monkeypatch, policy):

@@ -96,16 +96,12 @@ def eval_data_file(tmp_path: Path) -> Path:
 
 def top1_oracle(model, ds: LabeledDataset) -> tuple[float, float]:
     """Top-1 accuracy and mean MACs over ds, row by row: ``top1_predict``, and ``mac_count`` of the
-    base, the gate, the routed slot and the tails it needs (a top2 slot's: its row's top pair)."""
+    base, the gate and the routed slot with its own tail."""
     correct = macs = 0
     for row, label in zip(ds.features, ds.labels):
         probs, chosen = model.top1_predict(row)
-        tails = [chosen]
-        if model.ensemblers[chosen].kind == "top2":
-            gate = model.gate.distribution_batch(forward_batch(model.base, row[None, :]).prelogits)[0]
-            tails = sorted(np.argsort(-gate, kind="stable")[:2].tolist())
         correct += int(probs.argmax() == label)
-        macs += mac_count(model, ExecutionTrace(expert_tails=tuple(tails), ensemblers=(chosen,)))
+        macs += mac_count(model, ExecutionTrace(expert_tails=(chosen,), ensemblers=(chosen,)))
     return correct / len(ds), macs / len(ds)
 
 
@@ -314,6 +310,17 @@ class TestEval:
         assert rel_lines[0] == "bin_low,bin_high,count,accuracy"
         assert len(rel_lines) == 11
 
+    def test_analyze_on_data_missing_a_class_exits_2_before_any_output(self, trained, tmp_path, capsys):
+        ds = generate_synthetic_dataset()
+        keep = ds.labels != 1
+        save_csv(tmp_path / "eval.csv", LabeledDataset(ds.features[keep], ds.labels[keep], 3))
+        out_dir = tmp_path / "analysis"
+        capsys.readouterr()
+        assert main(["eval", str(trained), str(tmp_path / "eval.csv"), "--analyze", "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "has none of class [1]" in captured.err
+        assert not out_dir.exists()
+
     def test_analyze_without_out_dir_is_a_usage_error(self, trained, tmp_path, capsys):
         data = eval_data_file(tmp_path)
         capsys.readouterr()
@@ -451,7 +458,7 @@ class TestEval:
 class TestTop1Routing:
     """The CLI's top-1 figures are the gate_confidence policy at tau 0, which never exits."""
 
-    @pytest.mark.parametrize("kind", ["none", "bagging", "stacking", "top2"])
+    @pytest.mark.parametrize("kind", ["none", "bagging", "stacking"])
     @pytest.mark.parametrize("gate", ["random_gate", "tied_gate", "uniform_gate"])
     def test_gate_confidence_at_tau_zero_equals_per_row_top1_predict(self, rng, kind, gate):
         x = rng.normal(size=(60, 4))
@@ -637,6 +644,18 @@ class TestConfigErrors:
         )
         assert main(["train", str(config)]) == 2
         assert "ensembler" in capsys.readouterr().err
+
+    def test_the_top2_kind_exits_2_in_a_config_and_in_a_model_json(self, rng, tmp_path, capsys):
+        assert main(["train", str(config_with(tmp_path, "model", "ensembler", "top2"))]) == 2
+        assert "unknown ensembler 'top2'" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+        save_model(tmp_path / "model.json", random_model(rng, ensembler="none"))
+        doc = load_json(tmp_path / "model.json")
+        doc["ensemblers"][1]["kind"] = "top2"
+        (tmp_path / "model.json").write_text(json.dumps(doc))
+        assert main(["eval", str(tmp_path / "model.json"), str(eval_data_file(tmp_path))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {tmp_path / 'model.json'}: ") and "unknown ensembler kind 'top2'" in err
 
     def test_both_data_sources_rejected(self, tmp_path, capsys):
         config = make_config(tmp_path)

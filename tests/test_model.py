@@ -22,6 +22,7 @@ from moe_forge.model import (
     network_macs,
     save_model,
     slot_macs,
+    top1_slots,
 )
 from moe_forge.nn import forward_batch, init_network, softmax
 
@@ -57,7 +58,7 @@ class TestEnsemblerArithmetic:
         ev = evaluate_dataset(random_model(rng, ensembler="bagging"), rng.normal(size=(6, 4)))
         np.testing.assert_allclose(ev.combined.sum(axis=2), np.ones((3, 6)), atol=1e-12)
 
-    @pytest.mark.parametrize("kind", ["none", "bagging", "top2"])
+    @pytest.mark.parametrize("kind", ["none", "bagging"])
     def test_apply_ensembler_refuses_the_kinds_evaluate_dataset_combines(self, kind):
         with pytest.raises(ShapeError, match="evaluate_dataset"):
             apply_ensembler(Ensembler(kind), np.full((1, 2), 0.5), np.full((1, 2), 0.5))
@@ -127,7 +128,7 @@ class TestMacAccounting:
         assert mac_count(model, ExecutionTrace(tails, ensemblers)) == expected
 
     def test_bagging_and_none_cost_nothing(self):
-        for kind in ("bagging", "none", "top2"):
+        for kind in ("bagging", "none"):
             model = mac_fixture_model(kind)
             assert model.cost.macs_ensembler == (0, 0)
 
@@ -142,9 +143,8 @@ class TestMacAccounting:
 
     @pytest.mark.parametrize(
         "kinds",
-        [("none",) * 4, ("bagging",) * 4, ("stacking",) * 4, ("top2",) * 4,
-         ("top2", "stacking", "none", "top2")],
-        ids=["none", "bagging", "stacking", "top2", "mixed"],
+        [("none",) * 4, ("bagging",) * 4, ("stacking",) * 4, ("stacking", "none", "bagging", "stacking")],
+        ids=["none", "bagging", "stacking", "mixed"],
     )
     def test_slot_macs_equal_the_scalar_count_of_each_row(self, rng, kinds):
         # Tails of different widths, so a wrong tail index changes the count.
@@ -157,17 +157,12 @@ class TestMacAccounting:
         ]
         scaffold = random_model(rng, num_experts=4)
         model = MoEModel(scaffold.base, scaffold.gate, experts, ensemblers, shared_prefix=1)
-        x = rng.normal(size=(40, 4))
-        ev = evaluate_dataset(model, x)
         slots = rng.random((40, 4)) < 0.35
-        got = slot_macs(model, ev.gate_probs, slots)
+        got = slot_macs(model, slots)
         assert got.shape == (40,)
         for i in range(40):
             chosen = tuple(int(j) for j in np.flatnonzero(slots[i]))
-            tails = {j for j in chosen if kinds[j] != "top2"}
-            if any(kinds[j] == "top2" for j in chosen):
-                tails |= set(np.argsort(-ev.gate_probs[i], kind="stable")[:2].tolist())
-            trace = ExecutionTrace(expert_tails=tuple(sorted(tails)), ensemblers=chosen)
+            trace = ExecutionTrace(expert_tails=chosen, ensemblers=chosen)
             assert got[i] == mac_count(model, trace) - model.cost.macs_base - model.cost.macs_gate
 
 
@@ -186,7 +181,7 @@ class TestModelOutputs:
             np.testing.assert_allclose(mixture[i], expected, atol=1e-12)
 
     def test_each_ensembled_output_is_a_distribution(self, rng):
-        for kind in ("none", "bagging", "stacking", "top2"):
+        for kind in ("none", "bagging", "stacking"):
             model = random_model(rng, ensembler=kind)
             probs = evaluate_dataset(model, rng.normal(size=(1, 4))).combined[1, 0]
             assert probs.shape == (3,)
@@ -200,17 +195,7 @@ class TestModelOutputs:
         _, chosen = model.top1_predict(rng.normal(size=4))
         assert chosen == 0
 
-    def test_top2_uses_the_two_strongest_experts(self, rng):
-        model = random_model(rng, num_experts=3, ensembler="top2")
-        x = rng.normal(size=4)
-        ev = evaluate_dataset(model, x[None, :])
-        pair = ev.top_pair[0]
-        expected = 0.5 * (ev.expert_probs[pair[0], 0] + ev.expert_probs[pair[1], 0])
-        np.testing.assert_allclose(ev.combined[0, 0], expected, atol=1e-15)
-        order = np.argsort(-ev.gate_probs[0, :3])
-        np.testing.assert_array_equal(sorted(pair), sorted(order[:2]))
-
-    @pytest.mark.parametrize("kind", ("bagging", "stacking", "top2"))
+    @pytest.mark.parametrize("kind", ("bagging", "stacking", "none"))
     def test_selected_slots_match_the_dense_pass_and_the_rest_stay_zero(self, rng, kind):
         model = random_model(rng, num_experts=4, ensembler=kind)
         x = rng.normal(size=(12, 4))
@@ -218,7 +203,6 @@ class TestModelOutputs:
         dense = evaluate_dataset(model, x)
         ev = evaluate_dataset(model, x, lambda base_probs, gate_probs: slots)
         np.testing.assert_array_equal(ev.base.probs, dense.base.probs)
-        np.testing.assert_array_equal(ev.top_pair, dense.top_pair)
         np.testing.assert_allclose(ev.combined[slots.T], dense.combined[slots.T], rtol=0, atol=1e-12)
         assert not ev.combined[~slots.T].any()
         with pytest.raises(ShapeError, match="slot selector"):
@@ -237,11 +221,8 @@ def per_expert_reference(model: MoEModel, x: np.ndarray):
     fp = forward_batch(model.base, x)
     gate_probs = model.gate.distribution_batch(fp.prelogits)
     experts = np.stack([forward_batch(e, fp.tap).probs for e in model.experts])
-    pair = np.argsort(-gate_probs, axis=1, kind="stable")[:, :2]
-    rows = np.arange(len(x))
     combined = np.stack([
-        0.5 * (experts[pair[:, 0], rows] + experts[pair[:, 1], rows]) if ens.kind == "top2"
-        else experts[j] if ens.kind == "none"
+        experts[j] if ens.kind == "none"
         else 0.5 * (fp.probs + experts[j]) if ens.kind == "bagging"
         else apply_ensembler(ens, fp.probs, experts[j])
         for j, ens in enumerate(model.ensemblers)
@@ -255,13 +236,13 @@ class TestStackedTails:
     @pytest.mark.parametrize("widths", [(6, 6, 6, 6), (5, 2, 5, 9)], ids=["one_stack", "three_stacks"])
     @pytest.mark.parametrize(
         "kinds",
-        [("none",) * 4, ("bagging",) * 4, ("stacking",) * 4, ("top2",) * 4, ("top2", "stacking", "none", "bagging")],
-        ids=["none", "bagging", "stacking", "top2", "mixed"],
+        [("none",) * 4, ("bagging",) * 4, ("stacking",) * 4, ("stacking", "none", "bagging", "stacking")],
+        ids=["none", "bagging", "stacking", "mixed"],
     )
     @pytest.mark.parametrize("tied", [False, True], ids=["random_gate", "tied_gate"])
     def test_dense_pass_equals_each_tail_alone(self, rng, kinds, widths, tied):
         model = mixed_model(rng, kinds, widths)
-        if tied:  # every top2 row runs the pair (1, 3), the lower indices of the tied experts
+        if tied:  # top1_slots routes every row to expert 1, the lower index of the tied top experts
             tie_gate(model)
         block = model_mod._BLOCK_ROWS
         x = rng.normal(size=(2 * block + 1, 4))
@@ -271,6 +252,13 @@ class TestStackedTails:
             for got, want in ((ev.base.probs, fp.probs), (ev.gate_probs, gate_probs),
                               (ev.expert_probs, experts), (ev.combined, combined)):
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            # The routed pass runs each row's top slot alone, on its rows only.
+            slots = top1_slots(model, gate_probs)
+            assert not tied or slots[:, 1].all()
+            routed = evaluate_dataset(model, x[:n], lambda base_probs, gate_probs: top1_slots(model, gate_probs))
+            # A tail run on a subset of rows may round differently from the stacked dense pass.
+            np.testing.assert_allclose(routed.combined[slots.T], combined[slots.T], rtol=0, atol=1e-12)
+            assert not routed.combined[~slots.T].any()
 
     def test_expert_layers_are_views_into_their_stack(self, rng):
         model = mixed_model(rng, ("bagging",) * 4, (5, 2, 5, 9))

@@ -317,7 +317,7 @@ class TestTrainEnsembler:
         ds = blob_dataset(seed=1, samples_per_mode=10)
         base = init_network([4, 6, 3], 0, seed=0)
         fp = forward_batch(base, ds.features)
-        for kind in ("none", "bagging", "top2"):
+        for kind in ("none", "bagging"):
             ens = train_ensembler(kind, fp, expert_tail(base), ds, np.ones(len(ds)), SgdConfig())
             assert ens.kind == kind and ens.weight is None
 
