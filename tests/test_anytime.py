@@ -357,6 +357,21 @@ class TestSelectThreshold:
 
 POLICY_TAUS = (0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 ONE_HOT = np.eye(4, dtype=bool)  # the slots of one expert of four
+SWEEP_MODELS = {  # ensembler kinds and tail widths
+    "none": (("none",) * 4, (6,) * 4),
+    "bagging": (("bagging",) * 4, (6,) * 4),
+    "stacking": (("stacking",) * 4, (6,) * 4),
+    "mixed": (("stacking", "none", "bagging", "stacking"), (5, 2, 5, 9)),
+}
+KIND_CASES = (*ENSEMBLER_KINDS, "mixed")
+
+
+def kind_model(rng, kind: str) -> MoEModel:
+    """random_model with four experts of one ensembler kind, or, for "mixed", SWEEP_MODELS' mixed
+    kinds on tails of three widths."""
+    if kind == "mixed":
+        return mixed_model(rng, *SWEEP_MODELS["mixed"])
+    return random_model(rng, num_experts=4, ensembler=kind)
 
 
 def dense_outcomes(model: MoEModel, x: np.ndarray, configs) -> list:
@@ -406,10 +421,10 @@ def experts_run_on(runs: Counter, tap: np.ndarray) -> list[int]:
 class TestConditionalExecution:
     """Per-sample calls run only the selected experts and match the dense evaluation bit for bit."""
 
-    @pytest.mark.parametrize("kind", ENSEMBLER_KINDS)
+    @pytest.mark.parametrize("kind", KIND_CASES)
     def test_per_sample_paths_equal_the_dense_evaluation(self, rng, kind):
         x = rng.normal(size=(25, 4))
-        model = random_model(rng, num_experts=4, ensembler=kind)
+        model = kind_model(rng, kind)
         seen = {policy: set() for policy in POLICIES}
         configs = [AnytimeConfig(tau=tau, policy=policy) for policy in POLICIES for tau in POLICY_TAUS]
         for i in range(len(x)):
@@ -447,9 +462,9 @@ class TestConditionalExecution:
                 anytime_predict(model, rng.normal(size=4), AnytimeConfig(tau=tau, policy=policy))
         assert [s.shape for s in slots] == [(1, 4)] * 9
 
-    @pytest.mark.parametrize("kind", ENSEMBLER_KINDS)
+    @pytest.mark.parametrize("kind", KIND_CASES)
     def test_only_the_selected_expert_tails_run(self, rng, monkeypatch, kind):
-        model = random_model(rng, num_experts=4, ensembler=kind)
+        model = kind_model(rng, kind)
         runs = count_tail_runs(monkeypatch, model)
         partial = 0
         for row in rng.normal(size=(25, 4)):
@@ -504,17 +519,9 @@ def dense_curve(model: MoEModel, ds: LabeledDataset, taus, policy: str) -> Trade
 
 
 SWEEP_TAUS = (0.0, 0.005, 0.01, 0.02, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
-SWEEP_MODELS = {  # ensembler kinds and tail widths
-    "none": (("none",) * 4, (6,) * 4),
-    "bagging": (("bagging",) * 4, (6,) * 4),
-    "stacking": (("stacking",) * 4, (6,) * 4),
-    "mixed": (("stacking", "none", "bagging", "stacking"), (5, 2, 5, 9)),
-}
-
-
 def distinct_tap_model(rng, kind: str) -> MoEModel:
-    """random_model with no relu zeros at the tap, so each row has its own tap bytes."""
-    model = random_model(rng, num_experts=4, ensembler=kind)
+    """kind_model with no relu zeros at the tap, so each row has its own tap bytes."""
+    model = kind_model(rng, kind)
     model.base.layers[0].bias += 10.0
     return model
 
@@ -532,7 +539,7 @@ class TestConditionalSweep:
         assert any(0 < p.exit_ratio < 1 for p in curve.points)
 
     @pytest.mark.parametrize("policy", ["base_confidence", "gate_confidence"])
-    @pytest.mark.parametrize("kind", ENSEMBLER_KINDS)
+    @pytest.mark.parametrize("kind", KIND_CASES)
     def test_top1_policies_run_the_top_tails_of_rows_that_do_not_always_exit(self, rng, monkeypatch, policy, kind):
         model = distinct_tap_model(rng, kind)
         ds = blob_dataset(seed=65, samples_per_mode=20)
@@ -551,7 +558,7 @@ class TestConditionalSweep:
         assert runs == Counter({(int(chosen[i]), fp.tap[i].tobytes()): 1 for i in np.flatnonzero(running)})
         assert curve == dense_curve(model, ds, taus, policy)
 
-    @pytest.mark.parametrize("kind", ENSEMBLER_KINDS)
+    @pytest.mark.parametrize("kind", KIND_CASES)
     def test_alpha_sweep_with_tau_zero_runs_each_needed_tail_once(self, rng, monkeypatch, kind):
         model = distinct_tap_model(rng, kind)
         ds = blob_dataset(seed=66, samples_per_mode=20)
@@ -560,9 +567,9 @@ class TestConditionalSweep:
         blocks = []
         runs = count_tail_runs(monkeypatch, model, blocks)
         sweep_thresholds(model, ds, SWEEP_TAUS)
-        # every tail on every row, as one stack in row blocks
+        # every tail on every row, each stack of tails as one product per row block
         assert runs == Counter({(j, key): 1 for j in range(4) for key in taps})
-        assert sum(blocks) == len(ds)
+        assert sum(blocks) == len(model._stacks) * len(ds)
 
     @pytest.mark.parametrize(
         "policy, taus",

@@ -20,7 +20,7 @@ from moe_forge.model import ExecutionTrace, evaluate_dataset, load_model, mac_co
 from moe_forge.nn import SgdConfig, forward_batch
 from moe_forge.training import TrainPlan, run_pipeline
 
-from conftest import blob_dataset, random_model, tie_gate
+from conftest import blob_dataset, mixed_model, random_model, tie_gate
 
 
 def make_config(tmp_path: Path, **overrides) -> Path:
@@ -458,11 +458,14 @@ class TestEval:
 class TestTop1Routing:
     """The CLI's top-1 figures are the gate_confidence policy at tau 0, which never exits."""
 
-    @pytest.mark.parametrize("kind", ["none", "bagging", "stacking"])
+    @pytest.mark.parametrize("kind", ["none", "bagging", "stacking", "mixed"])
     @pytest.mark.parametrize("gate", ["random_gate", "tied_gate", "uniform_gate"])
     def test_gate_confidence_at_tau_zero_equals_per_row_top1_predict(self, rng, kind, gate):
         x = rng.normal(size=(60, 4))
-        model = random_model(rng, num_experts=4, ensembler=kind)
+        if kind == "mixed":  # each kind in one run, on tails of three widths
+            model = mixed_model(rng, ("stacking", "none", "bagging", "stacking"), (5, 2, 5, 9))
+        else:
+            model = random_model(rng, num_experts=4, ensembler=kind)
         if gate == "tied_gate":  # every row routes to expert 1, the lower index of the tied top experts
             tie_gate(model)
         elif gate == "uniform_gate":  # every gate probability is 1/K, so every row routes to expert 0

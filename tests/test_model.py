@@ -233,7 +233,9 @@ def per_expert_reference(model: MoEModel, x: np.ndarray):
 class TestStackedTails:
     """Tails of equal shapes run as one stack, bit for bit what each tail gives alone."""
 
-    @pytest.mark.parametrize("widths", [(6, 6, 6, 6), (5, 2, 5, 9)], ids=["one_stack", "three_stacks"])
+    @pytest.mark.parametrize(
+        "widths", [(6, 6, 6, 6), (5, 2, 5, 9), (2, 9, 9, 2)], ids=["one_stack", "three_stacks", "two_stacks"]
+    )
     @pytest.mark.parametrize(
         "kinds",
         [("none",) * 4, ("bagging",) * 4, ("stacking",) * 4, ("stacking", "none", "bagging", "stacking")],
