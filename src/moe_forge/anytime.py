@@ -235,12 +235,15 @@ def select_threshold(
     max_accuracy_drop: float,
     policy: str = "alpha_threshold",
 ) -> float:
-    """Largest threshold whose accuracy stays within max_accuracy_drop of tau=0.
+    """Cheapest threshold whose accuracy stays within max_accuracy_drop of the reference's.
 
-    tau=0 is the reference (it runs every expert under alpha_threshold);
-    returns 0.0 when no candidate threshold qualifies.
+    Under base_confidence a smaller tau exits more rows, so the reference is tau=1 and the
+    smallest qualifying tau is returned; under the other policies a larger tau exits more rows,
+    so the reference is tau=0 (every expert runs under alpha_threshold) and the largest
+    qualifying tau is returned.  Returns the reference tau when no candidate qualifies.
     """
-    curve = sweep_thresholds(model, ds, [0.0, *taus], policy)
+    ref, pick = (1.0, min) if policy == "base_confidence" else (0.0, max)
+    curve = sweep_thresholds(model, ds, [ref, *taus], policy)
     ref_acc = curve.points[0].accuracy
     passing = [p.tau for p in curve.points[1:] if p.accuracy >= ref_acc - max_accuracy_drop]
-    return max(passing, default=0.0)
+    return pick(passing, default=ref)

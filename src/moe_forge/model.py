@@ -1,9 +1,10 @@
 """The assembled mixture: base network, linear gate, expert tails, ensemblers.
 
 Experts consume the base network's tap output, so the layers up to the
-tap are computed once per sample and shared; tails of equal shapes share one
-weight stack per layer.  MAC accounting follows the same structure: the base
-is counted once and every executed expert adds only its tail.
+tap are computed once per sample and shared.  Every expert has the layer
+shapes and activations of the base's tail, so the K tails share one weight
+stack per layer.  MAC accounting follows the same structure: the base is
+counted once and every executed expert adds only its tail.
 """
 
 from __future__ import annotations
@@ -123,11 +124,13 @@ class MoEModel:
     def __post_init__(self) -> None:
         self.validate()
         self.cost = make_cost_model(self)
-        # Constants of every conditional-execution call (evaluate_dataset, slot_macs), built once.
-        kinds = np.array([ens.kind for ens in self.ensemblers])
-        self._kinds, self._stacking = set(kinds.tolist()), kinds == "stacking"
-        self._bagging, self._none = (kinds == "bagging")[:, None, None], (kinds == "none")[:, None, None]
-        self._stacks = _stack_tails(self.experts)
+        # Constants of every conditional-execution call (evaluate_dataset, slot_macs), built once:
+        # per tail layer (weight [K, in, out], bias [K, 1, out], activation), and each expert's slices.
+        self._tails = [
+            (_stack(same, "weight").transpose(0, 2, 1), _stack(same, "bias")[:, None, :], same[0].activation)
+            for same in zip(*(e.layers for e in self.experts))
+        ]
+        self._alone = [[(w[j], b[j], activation) for w, b, activation in self._tails] for j in range(self.num_experts)]
         # [K] MACs of each slot: its expert's tail plus its ensembler.
         self._slot_macs = np.asarray(self.cost.macs_expert_tail) + np.asarray(self.cost.macs_ensembler)
 
@@ -141,13 +144,11 @@ class MoEModel:
                 f"shared_prefix {self.shared_prefix} must equal base tap_index + 1 "
                 f"= {self.base.tap_index + 1}"
             )
+        layout = lambda layers: ", ".join(f"{l.in_dim}->{l.out_dim} {l.activation}" for l in layers)
+        tail = layout(self.base.layers[self.shared_prefix :])
         for k, expert in enumerate(self.experts):
-            if expert.input_dim != self.base.tap_dim:
-                raise ShapeError(
-                    f"expert {k} input dim {expert.input_dim} != base tap dim {self.base.tap_dim}"
-                )
-            if expert.output_dim != self.base.output_dim:
-                raise ShapeError(f"expert {k} must predict {self.base.output_dim} classes")
+            if layout(expert.layers) != tail:
+                raise ShapeError(f"expert {k} has layers [{layout(expert.layers)}], not the base tail's [{tail}]")
         if self.gate.in_dim != self.base.prelogit_dim:
             raise ShapeError(
                 f"gate expects dim {self.gate.in_dim}, base pre-logits have dim "
@@ -183,7 +184,7 @@ class MoEModel:
 
 
 def _stack(layers: list, attr: str) -> np.ndarray:
-    """[g, ...] stack of the layers' ``attr`` arrays, which become its slices, copied one at a
+    """[K, ...] stack of the layers' ``attr`` arrays, which become its slices, copied one at a
     time so no second full copy is held; arrays that already are its slices keep their stack."""
     owner = getattr(layers[0], attr).base
     views = [getattr(l, attr).__array_interface__ for l in layers]
@@ -194,25 +195,6 @@ def _stack(layers: list, attr: str) -> np.ndarray:
         stack[g] = getattr(layer, attr)
         setattr(layer, attr, stack[g])
     return stack
-
-
-def _stack_tails(experts: list[Network]) -> list[tuple]:
-    """Per group of experts with equal layer shapes and activations: their indices (a slice if
-    consecutive), layers as (weight [g, in, out], bias [g, 1, out], activation), and (expert,
-    its layers as slices of those) for each."""
-    groups: dict[tuple, list[int]] = {}
-    for j, e in enumerate(experts):
-        groups.setdefault(tuple((l.weight.shape, l.activation) for l in e.layers), []).append(j)
-    stacks = []
-    for members in groups.values():
-        stack = [
-            (_stack(same, "weight").transpose(0, 2, 1), _stack(same, "bias")[:, None, :], same[0].activation)
-            for same in zip(*(experts[j].layers for j in members))
-        ]
-        alone = [(j, [(w[g], b[g], activation) for w, b, activation in stack]) for g, j in enumerate(members)]
-        lo, hi = members[0], members[-1] + 1
-        stacks.append((slice(lo, hi) if hi - lo == len(members) else np.array(members), stack, alone))
-    return stacks
 
 
 def make_cost_model(model: MoEModel) -> CostModel:
@@ -254,12 +236,11 @@ def stacking_inputs(base_probs: np.ndarray, expert_probs: np.ndarray) -> np.ndar
 
 
 def apply_ensembler(ens: Ensembler, base_probs: np.ndarray, expert_probs: np.ndarray) -> np.ndarray:
-    """Combine [N, C] base and expert probabilities with a stacking ensembler.
-
-    ``evaluate_dataset`` combines the other kinds over all slots at once.
-    """
-    if ens.kind != "stacking":
-        raise ShapeError(f"{ens.kind} slots are combined by evaluate_dataset")
+    """Combine [N, C] base and expert probabilities under the ensembler's kind."""
+    if ens.kind == "none":
+        return expert_probs
+    if ens.kind == "bagging":
+        return (expert_probs + base_probs) * 0.5
     return softmax(stacking_inputs(base_probs, expert_probs) @ ens.weight.T + ens.bias)
 
 
@@ -292,7 +273,7 @@ def _row_sets(mask: np.ndarray):
 
 
 def _run_tails(layers: list[tuple], a: np.ndarray) -> np.ndarray:
-    """Class probabilities of one tail, [N, C], or of a stack of g, [g, N, C], on rows a [N, in];
+    """Class probabilities of one tail, [N, C], or of the K stacked tails, [K, N, C], on rows a [N, in];
     each slice of a stack is the same BLAS product as its tail alone."""
     for weight_t, bias, activation in layers:
         a = a @ weight_t
@@ -312,10 +293,12 @@ def evaluate_dataset(
     The shared prefix, base tail and gate always run on every row.  Without
     ``select`` every expert tail and ensembler runs on every row too.  Given
     ``select(base probs, gate probs) -> [N, K] bool`` ensembler slots, only
-    the slots it selects and their own expert tails run on each row; the
-    outputs of the rest stay zero; a stack of tails that all run on every row
-    runs as one batched product per layer.  ``base`` is the base's forward pass
-    over ``x`` when the caller already holds it; it is then not run again.
+    the slots it selects and their own expert tails run on each row, and the
+    outputs of the rest stay zero.  When every slot runs on every row, the K
+    tails run as one batched product per layer, in row blocks; otherwise each
+    selected slot runs its tail alone on its rows and combines them there.
+    ``base`` is the base's forward pass over ``x`` when the caller already
+    holds it; it is then not run again.
     """
     x = np.asarray(x, dtype=np.float64)
     if base is not None and (x.ndim != 2 or len(x) != len(base.probs)):
@@ -335,29 +318,21 @@ def evaluate_dataset(
             return ModelEval(fp, gate_probs, np.zeros((k, n, c)), np.zeros((k, n, c)))
 
     expert_probs = np.zeros((k, n, c))
-    for cols, stack, alone in model._stacks:
-        need = slots[:, cols]
-        if np.logical_and.reduce(need, axis=None):
-            parts = max(1, -(-n // _BLOCK_ROWS))  # near-equal row blocks
-            for rows in (slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)):
-                expert_probs[cols, rows] = _run_tails(stack, fp.tap[rows])
-        else:
-            for g, rows in _row_sets(need):
-                j, tail = alone[g]
-                expert_probs[j, rows] = _run_tails(tail, fp.tap[rows])
-
-    # Allocated only after the tails ran: allocating it first raised the peak RSS of a
-    # 6400-row dense pass (64-256-256-32, K=8) by 3.5 MB.
-    ev = ModelEval(fp, gate_probs, expert_probs, np.zeros_like(expert_probs))
-    # Bagging slots, the mean of base and expert, and none slots, each in one pass over [K, N, C].
-    if "bagging" in model._kinds:
-        np.add(expert_probs, fp.probs, out=ev.combined, where=slots.T[:, :, None] & model._bagging)
-        ev.combined *= 0.5
-    if "none" in model._kinds:
-        np.copyto(ev.combined, expert_probs, where=slots.T[:, :, None] & model._none)
-    for j, rows in _row_sets(slots & model._stacking) if "stacking" in model._kinds else ():
-        ev.combined[j, rows] = apply_ensembler(model.ensemblers[j], fp.probs[rows], expert_probs[j, rows])
-    return ev
+    if slots.all():
+        parts = max(1, -(-n // _BLOCK_ROWS))  # near-equal row blocks
+        for rows in (slice(n * i // parts, n * (i + 1) // parts) for i in range(parts)):
+            expert_probs[:, rows] = _run_tails(model._tails, fp.tap[rows])
+        # Allocated only after the tails ran: allocating it first raised the peak RSS of a
+        # 6400-row dense pass (64-256-256-32, K=8) by 3.5 MB.
+        combined = np.zeros_like(expert_probs)
+        for j, ens in enumerate(model.ensemblers):
+            combined[j] = apply_ensembler(ens, fp.probs, expert_probs[j])
+    else:
+        combined = np.zeros_like(expert_probs)
+        for j, rows in _row_sets(slots):
+            expert_probs[j, rows] = probs = _run_tails(model._alone[j], fp.tap[rows])
+            combined[j, rows] = apply_ensembler(model.ensemblers[j], fp.probs[rows], probs)
+    return ModelEval(fp, gate_probs, expert_probs, combined)
 
 
 # -- serialization -------------------------------------------------------------

@@ -138,10 +138,13 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / np.add.reduce(exp, axis=-1, keepdims=True)
 
 
-def _activate(z: np.ndarray, kind: str) -> np.ndarray:
-    if kind == "relu":
-        return np.maximum(z, 0.0)
-    return z
+def _activations(net: Network, x: np.ndarray) -> list[np.ndarray]:
+    """[x, each layer's post-activation output], first layer to last."""
+    acts = [x]
+    for layer in net.layers:
+        z = acts[-1] @ layer.weight.T + layer.bias
+        acts.append(np.maximum(z, 0.0) if layer.activation == "relu" else z)
+    return acts
 
 
 def forward_batch(net: Network, x: np.ndarray) -> ForwardPass:
@@ -153,18 +156,8 @@ def forward_batch(net: Network, x: np.ndarray) -> ForwardPass:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_dim:
         raise ShapeError(f"expected input of shape [B, {net.input_dim}], got {x.shape}")
-    a = x
-    tap = None
-    prelogits = None
-    for i, layer in enumerate(net.layers):
-        if i == len(net.layers) - 1:
-            prelogits = a
-        z = a @ layer.weight.T + layer.bias
-        a = _activate(z, layer.activation)
-        if i == net.tap_index:
-            tap = a
-    logits = a
-    return ForwardPass(tap=tap, prelogits=prelogits, logits=logits, probs=softmax(logits))
+    acts = _activations(net, x)
+    return ForwardPass(tap=acts[net.tap_index + 1], prelogits=acts[-2], logits=acts[-1], probs=softmax(acts[-1]))
 
 
 def forward(net: Network, x: np.ndarray) -> ForwardPass:
@@ -214,15 +207,7 @@ def backward(
     if n == 0:
         raise DataError("cannot compute gradients on an empty batch")
 
-    # Forward, keeping pre-activations for the relu mask.
-    acts = [x]
-    pre = []
-    a = x
-    for layer in net.layers:
-        z = a @ layer.weight.T + layer.bias
-        pre.append(z)
-        a = _activate(z, layer.activation)
-        acts.append(a)
+    acts = _activations(net, x)
     probs = softmax(acts[-1])
 
     delta = (probs - targets) * weights[:, None] / n
@@ -232,8 +217,8 @@ def backward(
         grads[i] = (delta.T @ acts[i], delta.sum(axis=0))
         if i > 0:
             delta = delta @ net.layers[i].weight
-            if net.layers[i - 1].activation == "relu":
-                delta = delta * (pre[i - 1] > 0)
+            if net.layers[i - 1].activation == "relu":  # relu(z) > 0 exactly where z > 0
+                delta = delta * (acts[i] > 0)
     return grads
 
 

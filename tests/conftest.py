@@ -65,15 +65,14 @@ def random_model(
     return MoEModel(base=base, gate=gate, experts=experts, ensemblers=ens, shared_prefix=1)
 
 
-def mixed_model(rng, kinds, widths) -> MoEModel:
-    """random_model's base and gate with [6 -> width -> 3] tails and the given ensembler kinds."""
+def mixed_model(rng, kinds) -> MoEModel:
+    """random_model with one expert per given ensembler kind."""
     scaffold = random_model(rng, num_experts=len(kinds))
-    experts = [random_network(rng, [6, width, 3]) for width in widths]
     ensemblers = [
         Ensembler(kind, rng.normal(size=(3, 6)), rng.normal(size=3)) if kind == "stacking" else Ensembler(kind)
         for kind in kinds
     ]
-    return MoEModel(scaffold.base, scaffold.gate, experts, ensemblers, shared_prefix=1)
+    return MoEModel(scaffold.base, scaffold.gate, scaffold.experts, ensemblers, shared_prefix=1)
 
 
 def tie_gate(model: MoEModel) -> None:

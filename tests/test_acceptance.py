@@ -373,7 +373,7 @@ def test_mac_counts_match_hand_fixtures_and_never_grow_with_threshold():
         _small_trained_model(),
         random_model(np.random.default_rng(3), ensembler="stacking"),
         random_model(np.random.default_rng(4), ensembler="none"),
-        mixed_model(np.random.default_rng(5), ("stacking", "none", "bagging", "stacking"), (5, 2, 5, 9)),
+        mixed_model(np.random.default_rng(5), ("stacking", "none", "bagging", "stacking")),
     ]
     for m in models:
         curve = sweep_thresholds(m, data, taus)

@@ -343,34 +343,48 @@ class TestSelectThreshold:
         )
         assert select_threshold(model, ds, [0.9, 1.0], max_accuracy_drop=0.1) == 0.0
 
-    def test_agrees_with_a_sweep_based_reimplementation(self, rng):
+    def test_base_confidence_takes_tau_one_as_reference_and_the_smallest_qualifying_tau(self):
+        # base_confidence exits every row at tau=0 and runs the argmax expert below the base
+        # maximum otherwise, so a smaller tau is cheaper.
+        model = random_model(np.random.default_rng(3), num_experts=4)
+        ds = blob_dataset(seed=5, samples_per_mode=30)
+        taus = [0.0, 0.25, 0.5, 0.75, 1.0]
+        curve = sweep_thresholds(model, ds, taus, "base_confidence")
+        assert {p.accuracy for p in curve.points} == {curve.points[-1].accuracy}
+        assert curve.points[0].mean_macs < curve.points[-1].mean_macs
+        assert select_threshold(model, ds, taus, 0.0, policy="base_confidence") == 0.0
+        # Nothing qualifies at a negative drop, so the reference comes back.
+        assert select_threshold(model, ds, taus, -0.5, policy="base_confidence") == 1.0
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_agrees_with_a_sweep_based_reimplementation(self, rng, policy):
         model = random_model(rng)
         ds = blob_dataset(seed=71, samples_per_mode=10)
         taus = [0.0, 0.01, 0.03, 0.1, 0.5, 1.0]
         drop = 0.05
-        curve = sweep_thresholds(model, ds, taus)
-        reference = curve.points[0].accuracy
+        ref, pick = (1.0, min) if policy == "base_confidence" else (0.0, max)
+        curve = sweep_thresholds(model, ds, taus, policy)
+        reference = curve.points[taus.index(ref)].accuracy
         qualifying = [p.tau for p in curve.points if p.accuracy >= reference - drop]
-        expected = max(qualifying) if qualifying else 0.0
-        assert select_threshold(model, ds, taus, drop) == expected
+        assert select_threshold(model, ds, taus, drop, policy) == pick(qualifying)
 
 
 POLICY_TAUS = (0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 ONE_HOT = np.eye(4, dtype=bool)  # the slots of one expert of four
-SWEEP_MODELS = {  # ensembler kinds and tail widths
-    "none": (("none",) * 4, (6,) * 4),
-    "bagging": (("bagging",) * 4, (6,) * 4),
-    "stacking": (("stacking",) * 4, (6,) * 4),
-    "mixed": (("stacking", "none", "bagging", "stacking"), (5, 2, 5, 9)),
+SWEEP_MODELS = {  # ensembler kinds
+    "none": ("none",) * 4,
+    "bagging": ("bagging",) * 4,
+    "stacking": ("stacking",) * 4,
+    "mixed": ("stacking", "none", "bagging", "stacking"),
 }
 KIND_CASES = (*ENSEMBLER_KINDS, "mixed")
 
 
 def kind_model(rng, kind: str) -> MoEModel:
     """random_model with four experts of one ensembler kind, or, for "mixed", SWEEP_MODELS' mixed
-    kinds on tails of three widths."""
+    kinds."""
     if kind == "mixed":
-        return mixed_model(rng, *SWEEP_MODELS["mixed"])
+        return mixed_model(rng, SWEEP_MODELS["mixed"])
     return random_model(rng, num_experts=4, ensembler=kind)
 
 
@@ -397,7 +411,7 @@ def count_tail_runs(monkeypatch, model: MoEModel, blocks: list | None = None) ->
     original = model_mod._run_tails
 
     def counting(layers, a):
-        weight_t = layers[0][0]  # one tail's [in, out] weight, or a stack's [g, in, out]
+        weight_t = layers[0][0]  # one tail's [in, out] weight, or the stack's [K, in, out]
         start = weight_t.__array_interface__["data"][0]
         if weight_t.ndim == 2:
             experts = [expert_at[start]]
@@ -488,24 +502,20 @@ class TestConditionalExecution:
     def test_dense_evaluation_runs_every_expert_once_on_all_rows(self, rng, monkeypatch):
         block = model_mod._BLOCK_ROWS
         x = rng.normal(size=(2 * block + 1, 4))
-        for widths in ((6, 6, 6, 6), (2, 5, 2, 9)):  # one stack; three, one of them experts 0 and 2
-            scaffold = random_model(rng, num_experts=4, ensembler="none")
-            scaffold.base.layers[0].bias += 10.0  # no relu zeros, so each row has its own tap
-            experts = [random_network(rng, [6, width, 3]) for width in widths]
-            model = MoEModel(scaffold.base, scaffold.gate, experts, scaffold.ensemblers, shared_prefix=1)
-            stacks, blocks = len(set(widths)), []
-            with monkeypatch.context() as patch:
-                runs = count_tail_runs(patch, model, blocks)
-                for n in (0, 1, 2, block, block + 1, 2 * block + 1):
-                    taps = [row.tobytes() for row in forward_batch(model.base, x[:n]).tap]
-                    assert len(set(taps)) == n
-                    evaluate_dataset(model, x[:n])
-                    assert runs == Counter({(j, key): 1 for j in range(4) for key in taps})
-                    # each stack in near-equal row blocks, none of 1 row when n >= 2
-                    assert len(blocks) == stacks * max(1, math.ceil(n / block)) and sum(blocks) == stacks * n
-                    assert max(blocks) - min(blocks) <= 1 and (n < 2 or min(blocks) >= 2)
-                    runs.clear()
-                    blocks.clear()
+        model = random_model(rng, num_experts=4, ensembler="none")
+        model.base.layers[0].bias += 10.0  # no relu zeros, so each row has its own tap
+        blocks = []
+        runs = count_tail_runs(monkeypatch, model, blocks)
+        for n in (0, 1, 2, block, block + 1, 2 * block + 1):
+            taps = [row.tobytes() for row in forward_batch(model.base, x[:n]).tap]
+            assert len(set(taps)) == n
+            evaluate_dataset(model, x[:n])
+            assert runs == Counter({(j, key): 1 for j in range(4) for key in taps})
+            # the stack in near-equal row blocks, none of 1 row when n >= 2
+            assert len(blocks) == max(1, math.ceil(n / block)) and sum(blocks) == n
+            assert max(blocks) - min(blocks) <= 1 and (n < 2 or min(blocks) >= 2)
+            runs.clear()
+            blocks.clear()
 
 
 def dense_curve(model: MoEModel, ds: LabeledDataset, taus, policy: str) -> TradeoffCurve:
@@ -532,7 +542,7 @@ class TestConditionalSweep:
     @pytest.mark.parametrize("kinds", SWEEP_MODELS)
     @pytest.mark.parametrize("policy", POLICIES)
     def test_curve_equals_the_dense_sweep(self, rng, policy, kinds):
-        model = mixed_model(rng, *SWEEP_MODELS[kinds])
+        model = mixed_model(rng, SWEEP_MODELS[kinds])
         ds = blob_dataset(seed=64, samples_per_mode=20)
         curve = sweep_thresholds(model, ds, SWEEP_TAUS, policy)
         assert curve == dense_curve(model, ds, SWEEP_TAUS, policy)
@@ -567,9 +577,9 @@ class TestConditionalSweep:
         blocks = []
         runs = count_tail_runs(monkeypatch, model, blocks)
         sweep_thresholds(model, ds, SWEEP_TAUS)
-        # every tail on every row, each stack of tails as one product per row block
+        # every tail on every row, the stack of tails as one product per row block
         assert runs == Counter({(j, key): 1 for j in range(4) for key in taps})
-        assert sum(blocks) == len(model._stacks) * len(ds)
+        assert sum(blocks) == len(ds)
 
     @pytest.mark.parametrize(
         "policy, taus",

@@ -15,12 +15,12 @@ from moe_forge.cli import _plan_from_config, main
 from moe_forge.data import LabeledDataset, generate_synthetic, save_csv
 from moe_forge.errors import ConfigError
 from moe_forge.gate_init import initial_gate, per_class_assignment
-from moe_forge.jsonio import load_json
+from moe_forge.jsonio import dumps, load_json
 from moe_forge.model import ExecutionTrace, evaluate_dataset, load_model, mac_count, save_model
-from moe_forge.nn import SgdConfig, forward_batch
+from moe_forge.nn import SgdConfig, forward_batch, network_to_doc
 from moe_forge.training import TrainPlan, run_pipeline
 
-from conftest import blob_dataset, mixed_model, random_model, tie_gate
+from conftest import blob_dataset, mixed_model, random_model, random_network, tie_gate
 
 
 def make_config(tmp_path: Path, **overrides) -> Path:
@@ -462,8 +462,8 @@ class TestTop1Routing:
     @pytest.mark.parametrize("gate", ["random_gate", "tied_gate", "uniform_gate"])
     def test_gate_confidence_at_tau_zero_equals_per_row_top1_predict(self, rng, kind, gate):
         x = rng.normal(size=(60, 4))
-        if kind == "mixed":  # each kind in one run, on tails of three widths
-            model = mixed_model(rng, ("stacking", "none", "bagging", "stacking"), (5, 2, 5, 9))
+        if kind == "mixed":  # each kind in one run
+            model = mixed_model(rng, ("stacking", "none", "bagging", "stacking"))
         else:
             model = random_model(rng, num_experts=4, ensembler=kind)
         if gate == "tied_gate":  # every row routes to expert 1, the lower index of the tied top experts
@@ -811,6 +811,17 @@ class TestMalformedCheckpoints:
     def test_a_gate_with_an_exit_row(self, doc, tmp_path, capsys):
         doc["gate"].update(rows=4, weight=doc["gate"]["weight"] + [0.0] * 6, bias=doc["gate"]["bias"] + [0.0])
         assert "gate has 4 rows, must have one per expert (K=3)" in self.eval_doc(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("dims", [[6, 9, 3], [6, 6, 6, 3]], ids=["wider_hidden", "extra_hidden"])
+    def test_an_expert_off_the_base_tail_layout(self, doc, rng, tmp_path, capsys, dims):
+        doc["experts"][1] = json.loads(dumps(network_to_doc(random_network(rng, dims))))
+        err = self.eval_doc(tmp_path, capsys, doc)
+        assert "expert 1 has layers [6->" in err and "not the base tail's [6->6 relu, 6->3 identity]" in err
+
+    def test_an_expert_with_another_hidden_activation(self, doc, tmp_path, capsys):
+        doc["experts"][2]["activations"][0] = "identity"
+        err = self.eval_doc(tmp_path, capsys, doc)
+        assert "expert 2 has layers [6->6 identity, 6->3 identity], not the base tail's" in err
 
     def test_centroids_of_the_wrong_dim(self, doc, tmp_path, capsys):
         doc["centroids"] = {"k": 3, "dim": 5, "means": [0.0] * 15}

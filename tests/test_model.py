@@ -58,10 +58,16 @@ class TestEnsemblerArithmetic:
         ev = evaluate_dataset(random_model(rng, ensembler="bagging"), rng.normal(size=(6, 4)))
         np.testing.assert_allclose(ev.combined.sum(axis=2), np.ones((3, 6)), atol=1e-12)
 
-    @pytest.mark.parametrize("kind", ["none", "bagging"])
-    def test_apply_ensembler_refuses_the_kinds_evaluate_dataset_combines(self, kind):
-        with pytest.raises(ShapeError, match="evaluate_dataset"):
-            apply_ensembler(Ensembler(kind), np.full((1, 2), 0.5), np.full((1, 2), 0.5))
+    @pytest.mark.parametrize("kind", ["none", "bagging", "stacking"])
+    def test_apply_ensembler_gives_each_kind_its_formula(self, rng, kind):
+        base, expert = softmax(rng.normal(size=(5, 3))), softmax(rng.normal(size=(5, 3)))
+        if kind == "stacking":
+            ens = Ensembler(kind, rng.normal(size=(3, 6)), rng.normal(size=3))
+            want = softmax(np.hstack([np.log(base), np.log(expert)]) @ ens.weight.T + ens.bias)
+        else:
+            ens = Ensembler(kind)
+            want = expert if kind == "none" else (expert + base) * 0.5
+        assert apply_ensembler(ens, base, expert).tobytes() == want.tobytes()
 
     def test_stacking_with_identity_blocks_multiplies_probabilities(self):
         # weight [I | I] makes the logits log(b) + log(e), so the output is
@@ -147,16 +153,8 @@ class TestMacAccounting:
         ids=["none", "bagging", "stacking", "mixed"],
     )
     def test_slot_macs_equal_the_scalar_count_of_each_row(self, rng, kinds):
-        # Tails of different widths, so a wrong tail index changes the count.
-        experts = [random_network(rng, [6, width, 3]) for width in (2, 5, 7, 9)]
-        ensemblers = [
-            Ensembler(kind, rng.normal(size=(3, 6)), rng.normal(size=3))
-            if kind == "stacking"
-            else Ensembler(kind)
-            for kind in kinds
-        ]
-        scaffold = random_model(rng, num_experts=4)
-        model = MoEModel(scaffold.base, scaffold.gate, experts, ensemblers, shared_prefix=1)
+        # Every tail costs the same; in the mixed case a wrong ensembler index changes the count.
+        model = mixed_model(rng, kinds)
         slots = rng.random((40, 4)) < 0.35
         got = slot_macs(model, slots)
         assert got.shape == (40,)
@@ -231,19 +229,16 @@ def per_expert_reference(model: MoEModel, x: np.ndarray):
 
 
 class TestStackedTails:
-    """Tails of equal shapes run as one stack, bit for bit what each tail gives alone."""
+    """The K tails run as one stack, bit for bit what each tail gives alone."""
 
-    @pytest.mark.parametrize(
-        "widths", [(6, 6, 6, 6), (5, 2, 5, 9), (2, 9, 9, 2)], ids=["one_stack", "three_stacks", "two_stacks"]
-    )
     @pytest.mark.parametrize(
         "kinds",
         [("none",) * 4, ("bagging",) * 4, ("stacking",) * 4, ("stacking", "none", "bagging", "stacking")],
         ids=["none", "bagging", "stacking", "mixed"],
     )
     @pytest.mark.parametrize("tied", [False, True], ids=["random_gate", "tied_gate"])
-    def test_dense_pass_equals_each_tail_alone(self, rng, kinds, widths, tied):
-        model = mixed_model(rng, kinds, widths)
+    def test_dense_pass_equals_each_tail_alone(self, rng, kinds, tied):
+        model = mixed_model(rng, kinds)
         if tied:  # top1_slots routes every row to expert 1, the lower index of the tied top experts
             tie_gate(model)
         block = model_mod._BLOCK_ROWS
@@ -262,19 +257,19 @@ class TestStackedTails:
             np.testing.assert_allclose(routed.combined[slots.T], combined[slots.T], rtol=0, atol=1e-12)
             assert not routed.combined[~slots.T].any()
 
-    def test_expert_layers_are_views_into_their_stack(self, rng):
-        model = mixed_model(rng, ("bagging",) * 4, (5, 2, 5, 9))
-        assert [[j for j, _ in alone] for _, _, alone in model._stacks] == [[0, 2], [1], [3]]
+    def test_expert_layers_are_views_into_the_stack(self, rng):
+        model = random_model(rng, num_experts=4)
         stacked_bytes = 0
-        for cols, stack, alone in model._stacks:
-            members = np.arange(4)[cols].tolist()
-            assert [j for j, _ in alone] == members
-            for i, (weight_t, bias, _) in enumerate(stack):
-                stacked_bytes += weight_t.nbytes + bias.nbytes
-                for g, j in enumerate(members):
-                    layer = model.experts[j].layers[i]
-                    assert np.shares_memory(layer.weight, weight_t) and np.shares_memory(layer.bias, bias)
-                    np.testing.assert_array_equal(weight_t[g].T, layer.weight)
+        for i, (weight_t, bias, activation) in enumerate(model._tails):
+            stacked_bytes += weight_t.nbytes + bias.nbytes
+            for j, expert in enumerate(model.experts):
+                layer = expert.layers[i]
+                assert np.shares_memory(layer.weight, weight_t) and np.shares_memory(layer.bias, bias)
+                np.testing.assert_array_equal(weight_t[j].T, layer.weight)
+                alone = model._alone[j][i]
+                assert alone[0].base is weight_t.base and alone[2] == activation == layer.activation
+                np.testing.assert_array_equal(alone[0], weight_t[j])
+                np.testing.assert_array_equal(alone[1], bias[j])
         layers = [l for e in model.experts for l in e.layers]
         assert stacked_bytes == sum(l.weight.nbytes + l.bias.nbytes for l in layers)
         for a, b in itertools.combinations(layers, 2):
@@ -283,7 +278,7 @@ class TestStackedTails:
     def test_an_in_place_edit_of_an_expert_reaches_every_path(self, rng):
         model = random_model(rng, num_experts=4)
         shared = MoEModel(model.base, model.gate, model.experts, model.ensemblers, shared_prefix=1)
-        assert np.shares_memory(shared._stacks[0][1][0][0], model._stacks[0][1][0][0])
+        assert np.shares_memory(shared._tails[0][0], model._tails[0][0])
         x = rng.normal(size=(6, 4))
         before = evaluate_dataset(model, x)
         model.experts[2].layers[0].weight[1, 3] += 0.5
@@ -307,17 +302,24 @@ class TestStackedTails:
 
 
 class TestModelValidation:
-    def test_expert_with_wrong_input_dim_rejected(self, rng):
+    @pytest.mark.parametrize(
+        "dims, activation, layers",
+        [
+            ([6, 7, 3], "relu", "6->7 relu, 7->3 identity"),
+            ([6, 6, 6, 3], "relu", "6->6 relu, 6->6 relu, 6->3 identity"),
+            ([6, 6, 3], "identity", "6->6 identity, 6->3 identity"),
+            ([5, 3], "identity", "5->3 identity"),
+        ],
+        ids=["hidden_width", "extra_hidden", "hidden_activation", "input_dim"],
+    )
+    def test_every_expert_needs_the_base_tail_layout(self, rng, dims, activation, layers):
         model = random_model(rng)
-        bad_expert = init_network([5, 3], tap_index=0, seed=0)
-        with pytest.raises(ShapeError):
-            MoEModel(
-                base=model.base,
-                gate=model.gate,
-                experts=[bad_expert] * 3,
-                ensemblers=model.ensemblers,
-                shared_prefix=1,
-            )
+        experts = list(model.experts)
+        experts[2] = random_network(rng, dims)
+        experts[2].layers[0].activation = activation
+        with pytest.raises(ShapeError) as exc:
+            MoEModel(model.base, model.gate, experts, model.ensemblers, shared_prefix=1)
+        assert str(exc.value) == f"expert 2 has layers [{layers}], not the base tail's [6->6 relu, 6->3 identity]"
 
     def test_shared_prefix_must_match_tap(self, rng):
         model = random_model(rng)
