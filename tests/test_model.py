@@ -228,17 +228,29 @@ def per_expert_reference(model: MoEModel, x: np.ndarray):
     return fp, gate_probs, experts, combined
 
 
+def tail_model(rng, kinds, tail) -> MoEModel:
+    """mixed_model with the base's tail, and so every expert, of layer widths `tail`."""
+    scaffold = mixed_model(rng, kinds)
+    base = random_network(rng, [4, *tail])
+    experts = [random_network(rng, list(tail)) for _ in kinds]
+    gate = Gate(rng.normal(size=(len(kinds), tail[-2])), rng.normal(size=len(kinds)))
+    return MoEModel(base, gate, experts, scaffold.ensemblers, shared_prefix=1)
+
+
 class TestStackedTails:
     """The K tails run as one stack, bit for bit what each tail gives alone."""
 
+    @pytest.mark.parametrize(
+        "tail", [(6, 3), (6, 6, 3), (6, 9, 2, 3)], ids=["one_layer", "two_layers", "three_layers"]
+    )
     @pytest.mark.parametrize(
         "kinds",
         [("none",) * 4, ("bagging",) * 4, ("stacking",) * 4, ("stacking", "none", "bagging", "stacking")],
         ids=["none", "bagging", "stacking", "mixed"],
     )
     @pytest.mark.parametrize("tied", [False, True], ids=["random_gate", "tied_gate"])
-    def test_dense_pass_equals_each_tail_alone(self, rng, kinds, tied):
-        model = mixed_model(rng, kinds)
+    def test_dense_pass_equals_each_tail_alone(self, rng, kinds, tied, tail):
+        model = tail_model(rng, kinds, tail)
         if tied:  # top1_slots routes every row to expert 1, the lower index of the tied top experts
             tie_gate(model)
         block = model_mod._BLOCK_ROWS
@@ -257,7 +269,7 @@ class TestStackedTails:
             np.testing.assert_allclose(routed.combined[slots.T], combined[slots.T], rtol=0, atol=1e-12)
             assert not routed.combined[~slots.T].any()
 
-    def test_expert_layers_are_views_into_the_stack(self, rng):
+    def test_expert_layers_are_views_into_their_stack(self, rng):
         model = random_model(rng, num_experts=4)
         stacked_bytes = 0
         for i, (weight_t, bias, activation) in enumerate(model._tails):
