@@ -181,13 +181,9 @@ def sweep_thresholds(
     ds: LabeledDataset,
     taus: Sequence[float],
     policy: str = "alpha_threshold",
-    base: ForwardPass | None = None,
 ) -> TradeoffCurve:
-    """The trade-off curve of ``policy`` at every threshold, all from one ``_predict_batch``.
-
-    ``base`` is the base's forward pass over ``ds`` when the caller already holds it.
-    """
-    return TradeoffCurve(_curve_points(model, ds, [AnytimeConfig(float(tau), policy) for tau in taus], base))
+    """The trade-off curve of ``policy`` at every threshold, all from one ``_predict_batch``."""
+    return TradeoffCurve(_curve_points(model, ds, [AnytimeConfig(float(tau), policy) for tau in taus], None))
 
 
 def convex_envelope(points: Sequence[CurvePoint]) -> TradeoffCurve:

@@ -36,9 +36,9 @@ from .anytime import (
 from .data import LabeledDataset, SyntheticSpec, generate_synthetic, load_csv, split
 from .errors import ConfigError, DataError, MoeForgeError, PipelineError, ShapeError
 from .gate_init import initial_gate, per_class_assignment
-from .model import evaluate_dataset, load_model, save_model
+from .model import evaluate_dataset, load_model
 from .nn import SgdConfig, forward_batch
-from .training import TrainPlan, run_pipeline
+from .training import PipelineResult, TrainPlan, run_pipeline
 
 
 class _List(NamedTuple):
@@ -214,44 +214,56 @@ def _load_config(path: str | Path) -> dict:
 _TOP1 = AnytimeConfig(0.0, "gate_confidence")
 
 
-def _top1(model, ds: LabeledDataset, base=None) -> CurvePoint:
-    """Top-1 routing's accuracy and mean MACs.  ``base`` is the base's forward pass over
-    ``ds`` when the caller already holds it."""
-    return sweep_thresholds(model, ds, [_TOP1.tau], _TOP1.policy, base=base).points[0]
+def _top1(model, ds: LabeledDataset) -> CurvePoint:
+    """Top-1 routing's accuracy and mean MACs on ``ds``."""
+    return sweep_thresholds(model, ds, [_TOP1.tau], _TOP1.policy).points[0]
 
 
-def _training_data(config: dict, config_path: str, plan: TrainPlan) -> list[LabeledDataset]:
-    """The parts of the config's data block; the first, the training set, must fit the plan."""
+def _load_training(config_path: str) -> tuple[dict, TrainPlan, list[LabeledDataset]]:
+    """The config at ``config_path``, its plan and its data's parts; the first must fit the plan."""
+    config = _load_config(config_path)
+    plan = _plan_from_config(config)
     parts = _load_data_block(config["data"], "data", Path(config_path).resolve().parent)
     try:
         plan.check_data(parts[0])
     except ShapeError as exc:
         raise ConfigError(str(exc)) from exc
-    return parts
+    return config, plan, parts
+
+
+def _scored_part(parts: list[LabeledDataset]) -> tuple[LabeledDataset, str]:
+    """The part ``train`` and ``ablate`` score, part 1 when the data is split, and its label."""
+    i = 1 if len(parts) > 1 else 0
+    return parts[i], f"part {i} of {len(parts)} ({'held out' if i else 'the training data'})"
+
+
+def _train_and_score(
+    plan: TrainPlan, parts: list[LabeledDataset], run_dir: Path
+) -> tuple[PipelineResult, CurvePoint]:
+    """Train ``plan`` on the first part into the run directory ``run_dir``, then score
+    top-1 routing on ``_scored_part(parts)``."""
+    result = run_pipeline(parts[0], plan, run_dir)
+    return result, _top1(result.model, _scored_part(parts)[0])
 
 
 def cmd_train(config_path: str) -> int:
-    config = _load_config(config_path)
-    plan = _plan_from_config(config)
-    train_ds = _training_data(config, config_path, plan)[0]
+    config, plan, parts = _load_training(config_path)
     out_dir = Path(config["output_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
+    result, top1 = _train_and_score(plan, parts, out_dir)
 
-    result = run_pipeline(train_ds, plan, out_dir)
-    save_model(out_dir / "model.json", result.model, result.expert_text)
-
-    top1 = _top1(result.model, train_ds, base=result.base_pass)
     artifacts = {}
     for file in sorted(out_dir.rglob("*")):
         if file.is_file() and file.name != "manifest.json":
             artifacts[str(file.relative_to(out_dir))] = hashlib.sha256(file.read_bytes()).hexdigest()
+    scored = _scored_part(parts)[1]
     manifest = {
         "config_hash": hashlib.sha256(json.dumps(config, sort_keys=True).encode()).hexdigest(),
         "plan": asdict(plan),
         "seed": plan.seed,
         "tag": "ensembling-baseline" if plan.num_experts == 1 else "mixture",
-        "train_samples": len(train_ds),
-        "train_accuracy_top1": top1.accuracy,
+        "train_samples": len(parts[0]),
+        "scored_part": scored,
+        "accuracy_top1": top1.accuracy,
         "mean_macs_top1": top1.mean_macs,
         "zero_mass_rows": result.zero_mass_rows,
         "stages": [
@@ -263,7 +275,8 @@ def cmd_train(config_path: str) -> int:
     for record in result.stages:
         status = "loaded" if record.loaded else "trained"
         print(f"stage {record.name}: {status} ({record.seconds:.2f}s)")
-    print(f"train accuracy (top-1 routing): {top1.accuracy:.4f}")
+    print(f"scored on {scored}")
+    print(f"top-1 routed accuracy: {top1.accuracy:.4f}")
     print(f"mean MACs (top-1 routing): {top1.mean_macs:.1f}")
     print(f"model written to {out_dir / 'model.json'}")
     return 0
@@ -360,6 +373,8 @@ def _ablate_plan(plan: TrainPlan, axis: str, raw: str) -> tuple[TrainPlan, str]:
         value = parse(raw)
     except ValueError as exc:
         raise ConfigError(f"{axis} value {raw!r}: {exc}") from exc
+    if axis == "shared_prefix":  # the base layers the experts share, as model.json counts them
+        value -= 1
     plan = _checked(replace(plan, **{field: value}), f"{axis}={raw}: ")
     if axis == "gamma" and value == TrainPlan.gamma:
         return plan, "default"
@@ -367,12 +382,7 @@ def _ablate_plan(plan: TrainPlan, axis: str, raw: str) -> tuple[TrainPlan, str]:
 
 
 def cmd_ablate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    base_plan = _plan_from_config(config)
-    parts = _training_data(config, args.config, base_plan)
-    train_ds = parts[0]
-    scored = 1 if len(parts) > 1 else 0  # the part after the training part, when there is one
-    eval_ds = parts[scored]
+    config, base_plan, parts = _load_training(args.config)
     if args.axis not in _ABLATE_AXES:
         raise ConfigError(f"unknown ablation axis {args.axis!r} (choose from {tuple(_ABLATE_AXES)})")
     values = [v.strip() for v in args.values.split(",") if v.strip()]
@@ -381,14 +391,10 @@ def cmd_ablate(args: argparse.Namespace) -> int:
     runs = [(raw, *_ablate_plan(base_plan, args.axis, raw)) for raw in values]
 
     out_root = Path(config["output_dir"]) / "ablate" / args.axis
-    print(f"scored on part {scored} of {len(parts)} ({'held out' if scored else 'the training data'})")
+    print(f"scored on {_scored_part(parts)[1]}")
     lines = ["axis_value,seed,accuracy,mean_macs,label"]
     for raw, plan, label in runs:
-        run_dir = out_root / raw.replace("/", "_")
-        run_dir.mkdir(parents=True, exist_ok=True)
-        result = run_pipeline(train_ds, plan, run_dir)
-        save_model(run_dir / "model.json", result.model, result.expert_text)
-        top1 = _top1(result.model, eval_ds)
+        _, top1 = _train_and_score(plan, parts, out_root / raw.replace("/", "_"))
         lines.append(f"{raw},{plan.seed},{top1.accuracy!r},{top1.mean_macs!r},{label}")
         print(f"{args.axis}={raw}: accuracy={top1.accuracy:.4f} mean_macs={top1.mean_macs:.1f}")
     summary = out_root / "summary.csv"

@@ -78,9 +78,7 @@ def _plus_plus_seeds(points: np.ndarray, k: int, rng: np.random.Generator) -> np
     means[0] = points[rng.integers(n)]
     closest = np.full(n, np.inf)
     for j in range(1, k):
-        diff = points - means[j - 1]
-        dist = np.einsum("nd,nd->n", diff, diff)
-        closest = np.minimum(closest, dist)
+        closest = np.minimum(closest, _sq_distances(points, means[j - 1 : j])[:, 0])
         total = closest.sum()
         if total <= 0:
             means[j] = points[rng.integers(n)]  # all points coincide with a center

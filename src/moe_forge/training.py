@@ -42,6 +42,7 @@ from .model import (
     ensembler_to_doc,
     gate_from_doc,
     gate_to_doc,
+    save_model,
     stacking_inputs,
 )
 from .nn import (
@@ -86,9 +87,10 @@ class TrainPlan:
         if len(self.layer_dims) < 2:
             raise ShapeError("layer_dims needs at least input and output sizes")
         if not 0 <= self.tap_index < len(self.layer_dims) - 2:
+            layers = len(self.layer_dims) - 1
             raise ShapeError(
-                "tap_index must leave at least one layer for the expert tails "
-                f"(got {self.tap_index} for {len(self.layer_dims) - 1} layers)"
+                f"tap_index must be 0..{layers - 2}: the experts share 1..{layers - 1} of the base's "
+                f"{layers} layers and keep at least one of their own (got {self.tap_index})"
             )
         if self.num_experts < 1:
             raise ShapeError("num_experts must be positive")
@@ -325,14 +327,10 @@ class StageRecord:
 class PipelineResult:
     model: MoEModel
     init: InitialGate
-    centroids: Centroids
     class_map: np.ndarray | None
     stages: list[StageRecord]
     zero_mass_rows: int
     base_pass: ForwardPass  # the base over the training rows
-    # Each expert as the experts stage encoded it into its checkpoint; None when that
-    # stage was loaded.  model.json reuses the text instead of encoding the tails again.
-    expert_text: list[jsonio.Fragment] | None = None
 
 
 def plan_hash(plan: TrainPlan) -> str:
@@ -437,7 +435,11 @@ def _train_expert_set(
 def run_pipeline(
     ds: LabeledDataset, plan: TrainPlan, out_dir: str | Path | None = None
 ) -> PipelineResult:
-    """Full training run with optional resumable stage checkpoints."""
+    """Full training run; given ``out_dir``, it also writes the run directory there.
+
+    That is the resumable stage checkpoints under ``stages/``, the ``diagnostics/`` CSVs
+    and ``model.json``.
+    """
     plan.validate()
     plan.check_data(ds)
     out_path = Path(out_dir) if out_dir is not None else None
@@ -532,9 +534,7 @@ def run_pipeline(
             weights = smooth_weights(posterior.q, plan.gamma)  # the weights m_step trained under
         # Encoded once here; the checkpoint and model.json both write this text.
         text = [jsonio.encode(network_to_doc(e)) for e in experts]
-        state.update(
-            experts=experts, gate=gate, final_weights=weights, zero_mass_rows=zero_rows, expert_text=text
-        )
+        state.update(experts=experts, gate=gate, final_weights=weights, zero_mass_rows=zero_rows, encoded=text)
         return {
             "experts": text,
             "gate": gate_to_doc(gate),
@@ -584,15 +584,15 @@ def run_pipeline(
     result = PipelineResult(
         model=model,
         init=init,
-        centroids=centroids,
         class_map=class_map,
         stages=stages,
         zero_mass_rows=state["zero_mass_rows"],
         base_pass=fp,
-        expert_text=state.get("expert_text"),
     )
     if out_path is not None:
         _write_diagnostics(out_path, result, targets, ds)
+        # A trained experts stage left its encoded tails; a loaded one leaves them to save_model.
+        save_model(out_path / "model.json", model, state.get("encoded"))
     return result
 
 

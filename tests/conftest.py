@@ -8,9 +8,9 @@ import pytest
 from dataclasses import replace
 
 from moe_forge.data import LabeledDataset, SyntheticSpec, generate_synthetic
-from moe_forge.gate_init import Centroids, initial_gate, kmeans, smooth_weights
+from moe_forge.gate_init import initial_gate, kmeans, smooth_weights
 from moe_forge.model import Ensembler, Gate, MoEModel
-from moe_forge.nn import Layer, Network, forward_batch, init_network
+from moe_forge.nn import Network, forward_batch, init_network
 from moe_forge.seeding import derive_seed
 from moe_forge.training import (
     TrainPlan,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import time
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 

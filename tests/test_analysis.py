@@ -13,7 +13,6 @@ from moe_forge.analysis import (
 from moe_forge.data import LabeledDataset
 from moe_forge.errors import ShapeError
 from moe_forge.model import evaluate_dataset
-from moe_forge.nn import forward_batch
 
 from conftest import blob_dataset, random_model
 from test_anytime import fixed_output_model

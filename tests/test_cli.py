@@ -3,7 +3,6 @@
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import moe_forge.anytime as anytime_mod
@@ -13,7 +12,6 @@ from moe_forge.analysis import gate_disagreement, model_reliability, oracle_per_
 from moe_forge.anytime import CURVE_HEADER
 from moe_forge.cli import _plan_from_config, main
 from moe_forge.data import LabeledDataset, generate_synthetic, save_csv
-from moe_forge.errors import ConfigError
 from moe_forge.gate_init import initial_gate, per_class_assignment
 from moe_forge.jsonio import dumps, load_json
 from moe_forge.model import ExecutionTrace, evaluate_dataset, load_model, mac_count, save_model
@@ -122,7 +120,7 @@ class TestTrain:
         assert "stages/base.json" in manifest["artifacts"]
         assert "manifest.json" not in manifest["artifacts"]
         stdout = capsys.readouterr().out
-        assert "train accuracy (top-1 routing):" in stdout
+        assert "top-1 routed accuracy:" in stdout
 
     def test_manifest_artifact_hashes_are_real(self, tmp_path):
         import hashlib
@@ -474,16 +472,32 @@ class TestTop1Routing:
         ds = LabeledDataset(x, rng.integers(3, size=60), 3)
         if gate != "random_gate":
             assert {model.top1_predict(row)[1] for row in x} == {1 if gate == "tied_gate" else 0}
-        accuracy, macs = top1_oracle(model, ds)
-        for base in (None, forward_batch(model.base, x)):
-            top1 = cli._top1(model, ds, base=base)
-            assert (top1.accuracy, top1.mean_macs, top1.exit_ratio) == (accuracy, macs, 0.0)
+        top1 = cli._top1(model, ds)
+        assert (top1.accuracy, top1.mean_macs, top1.exit_ratio) == (*top1_oracle(model, ds), 0.0)
 
-    def test_train_manifest_holds_the_figures(self, tmp_path):
-        assert main(["train", str(make_config(tmp_path))]) == 0
+    @pytest.mark.parametrize(
+        "split, scored",
+        [(None, "part 0 of 1 (the training data)"), ([0.8, 0.2], "part 1 of 2 (held out)")],
+        ids=["no_split", "split"],
+    )
+    def test_train_reports_the_figures_of_the_part_ablate_scores(self, tmp_path, capsys, split, scored):
+        config = make_config(tmp_path)
+        if split is not None:
+            config = config_with(tmp_path, "data", "split", {"fractions": split, "seed": 1})
+        assert main(["train", str(config)]) == 0
+        # The figures of the part it names: the last part of the config's data.
+        part = cli._load_data_block(json.loads(config.read_text())["data"], "data", tmp_path)[-1]
+        accuracy, macs = top1_oracle(load_model(tmp_path / "run" / "model.json"), part)
+        assert capsys.readouterr().out.splitlines()[5:8] == [
+            f"scored on {scored}",
+            f"top-1 routed accuracy: {accuracy:.4f}",
+            f"mean MACs (top-1 routing): {macs:.1f}",
+        ]
         manifest = load_json(tmp_path / "run" / "manifest.json")
-        want = top1_oracle(load_model(tmp_path / "run" / "model.json"), generate_synthetic_dataset())
-        assert (manifest["train_accuracy_top1"], manifest["mean_macs_top1"]) == want
+        assert (manifest["scored_part"], manifest["accuracy_top1"], manifest["mean_macs_top1"]) == (
+            scored, accuracy, macs,
+        )
+        assert manifest["train_samples"] == (72 if split else 90)
 
     def test_eval_prints_the_figures(self, tmp_path, capsys):
         assert main(["train", str(make_config(tmp_path))]) == 0
@@ -527,14 +541,15 @@ class TestModelJson:
         ds = blob_dataset(seed=61, samples_per_mode=20)
         plan = self.plan(ensembler=ensembler)
         fresh = run_pipeline(ds, plan, tmp_path / "run")
+        fresh_bytes = (tmp_path / "run" / "model.json").read_bytes()
+        (tmp_path / "run" / "model.json").unlink()  # the resumed run writes it again
         resumed = run_pipeline(ds, plan, tmp_path / "run")
-        assert fresh.expert_text is not None
-        assert all(s.loaded for s in resumed.stages) and resumed.expert_text is None
-        save_model(tmp_path / "fresh.json", fresh.model, fresh.expert_text)
-        save_model(tmp_path / "resumed.json", resumed.model, resumed.expert_text)
+        assert all(s.loaded for s in resumed.stages)
         save_model(tmp_path / "plain.json", fresh.model)
         text = (tmp_path / "plain.json").read_bytes()
-        assert (tmp_path / "fresh.json").read_bytes() == text
+        assert fresh_bytes == text
+        assert (tmp_path / "run" / "model.json").read_bytes() == text
+        save_model(tmp_path / "resumed.json", resumed.model)
         assert (tmp_path / "resumed.json").read_bytes() == text
         stage = load_json(tmp_path / "run" / "stages" / "experts.json")
         assert stage["payload"]["experts"] == json.loads(text)["experts"]
@@ -577,11 +592,25 @@ class TestAblate:
         ).read_text().splitlines()
         assert len(summary) == 3
 
-    def test_out_of_range_shared_prefix_is_a_usage_error(self, tmp_path, capsys):
-        config = make_config(tmp_path)
-        code = main(["ablate", str(config), "--axis", "shared_prefix", "--values", "0,1"])
-        assert code == 2
-        assert "shared_prefix" in capsys.readouterr().err
+    def test_shared_prefix_values_count_the_shared_layers(self, tmp_path, capsys):
+        config = config_with(tmp_path, "model", "layer_dims", [4, 6, 6, 3])
+        assert main(["ablate", str(config), "--axis", "shared_prefix", "--values", "1,2"]) == 0
+        root = tmp_path / "run" / "ablate" / "shared_prefix"
+        for value in (1, 2):
+            assert load_json(root / str(value) / "model.json")["shared_prefix"] == value
+            base = load_json(root / str(value) / "stages" / "base.json")["payload"]["network"]
+            assert base["tap_index"] == value - 1
+        assert capsys.readouterr().out.splitlines()[1].startswith("shared_prefix=1: accuracy=")
+
+    @pytest.mark.parametrize("value", ["0", "3"])
+    def test_out_of_range_shared_prefix_is_a_usage_error(self, tmp_path, capsys, value):
+        # Three layers: the experts share one or two of them and keep the rest.
+        config = config_with(tmp_path, "model", "layer_dims", [4, 6, 6, 3])
+        assert main(["ablate", str(config), "--axis", "shared_prefix", "--values", f"1,{value}"]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: shared_prefix={value}: tap_index must be 0..1: the experts share 1..2 of the base's 3 layers"
+        )
+        assert not (tmp_path / "run" / "ablate").exists()
 
     @pytest.mark.parametrize(
         "axis, value, message",

@@ -655,8 +655,8 @@ class TestPipelineCheckpoints:
         assert len(direct) >= 2
         resumed = run_pipeline(ds, plan, tmp_path)
         assert all(s.loaded for s in resumed.stages)
-        assert fresh.centroids.inertia_history == direct
-        assert resumed.centroids.inertia_history == direct
+        assert fresh.model.centroids.inertia_history == direct
+        assert resumed.model.centroids.inertia_history == direct
 
     def test_a_version_1_stage_file_is_refused_by_name(self, tmp_path):
         ds = blob_dataset(seed=58, samples_per_mode=15)
