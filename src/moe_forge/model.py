@@ -94,9 +94,9 @@ class CostModel:
     """Multiply-accumulate counts for every component (dense in*out, biases free)."""
 
     macs_base: int
-    macs_expert_tail: tuple[int, ...]
+    macs_expert_tail: int  # every expert has the base's tail layout
     macs_gate: int
-    macs_ensembler: tuple[int, ...]
+    macs_ensembler: int  # every ensembler has the model's one kind
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,6 @@ class MoEModel:
     gate: Gate
     experts: list[Network]
     ensemblers: list[Ensembler]
-    shared_prefix: int  # layer count of the base every expert reuses
     centroids: Centroids | None = None  # clustering that seeded the gate, kept for analysis
     temperature: float | None = None
 
@@ -131,29 +130,19 @@ class MoEModel:
             for same in zip(*(e.layers for e in self.experts))
         ]
         self._alone = [[(w[j], b[j], activation) for w, b, activation in self._tails] for j in range(self.num_experts)]
-        # [K] MACs of each slot: its expert's tail plus its ensembler.
-        self._slot_macs = np.asarray(self.cost.macs_expert_tail) + np.asarray(self.cost.macs_ensembler)
+        # [K] MACs of each slot: its expert's tail plus its ensembler, so a MAC sum is one product.
+        self._slot_macs = np.full(self.num_experts, self.cost.macs_expert_tail + self.cost.macs_ensembler)
 
     def validate(self) -> None:
         if not self.experts:
             raise ShapeError("model needs at least one expert")
         if len(self.ensemblers) != len(self.experts):
             raise ShapeError("need exactly one ensembler per expert")
-        if self.shared_prefix != self.base.tap_index + 1:
-            raise ShapeError(
-                f"shared_prefix {self.shared_prefix} must equal base tap_index + 1 "
-                f"= {self.base.tap_index + 1}"
-            )
-        layout = lambda layers: ", ".join(f"{l.in_dim}->{l.out_dim} {l.activation}" for l in layers)
-        tail = layout(self.base.layers[self.shared_prefix :])
-        for k, expert in enumerate(self.experts):
-            if layout(expert.layers) != tail:
-                raise ShapeError(f"expert {k} has layers [{layout(expert.layers)}], not the base tail's [{tail}]")
+        if len(kinds := {e.kind for e in self.ensemblers}) > 1:
+            raise ShapeError(f"ensemblers mix kinds {', '.join(sorted(kinds))}; a model has one kind")
+        check_tails(self.base, self.experts)
         if self.gate.in_dim != self.base.prelogit_dim:
-            raise ShapeError(
-                f"gate expects dim {self.gate.in_dim}, base pre-logits have dim "
-                f"{self.base.prelogit_dim}"
-            )
+            raise ShapeError(f"gate expects dim {self.gate.in_dim}, base pre-logits have dim {self.base.prelogit_dim}")
         if self.gate.rows != len(self.experts):
             raise ShapeError(f"gate has {self.gate.rows} rows, must have one per expert (K={len(self.experts)})")
         if self.centroids is not None and self.centroids.means.shape != (len(self.experts), self.base.prelogit_dim):
@@ -164,6 +153,11 @@ class MoEModel:
         for k, ens in enumerate(self.ensemblers):
             if ens.kind == "stacking" and ens.weight.shape[0] != self.base.output_dim:
                 raise ShapeError(f"stacking ensembler {k} sized for the wrong class count")
+
+    @property
+    def shared_prefix(self) -> int:
+        """Layer count of the base every expert reuses."""
+        return self.base.tap_index + 1
 
     @property
     def num_experts(self) -> int:
@@ -183,6 +177,17 @@ class MoEModel:
         return ev.combined[chosen, 0], chosen
 
 
+def check_tails(base: Network, experts: list[Network]) -> None:
+    """Raise ShapeError unless every expert has the layer shapes and activations of the base's tail."""
+    tail, *layouts = [
+        ", ".join(f"{l.in_dim}->{l.out_dim} {l.activation}" for l in layers)
+        for layers in (base.layers[base.tap_index + 1 :], *(e.layers for e in experts))
+    ]
+    for k, layout in enumerate(layouts):
+        if layout != tail:
+            raise ShapeError(f"experts[{k}] has layers [{layout}], not the base tail's [{tail}]")
+
+
 def _stack(layers: list, attr: str) -> np.ndarray:
     """[K, ...] stack of the layers' ``attr`` arrays, which become its slices, copied one at a
     time so no second full copy is held; arrays that already are its slices keep their stack."""
@@ -198,34 +203,24 @@ def _stack(layers: list, attr: str) -> np.ndarray:
 
 
 def make_cost_model(model: MoEModel) -> CostModel:
-    ens_costs = []
-    for ens in model.ensemblers:
-        if ens.kind == "stacking":
-            c = model.num_classes
-            ens_costs.append(2 * c * c)
-        else:
-            ens_costs.append(0)
+    c = model.num_classes
     return CostModel(
         macs_base=network_macs(model.base),
-        macs_expert_tail=tuple(network_macs(e) for e in model.experts),
+        macs_expert_tail=network_macs(model.experts[0]),
         macs_gate=model.gate.in_dim * model.gate.rows,
-        macs_ensembler=tuple(ens_costs),
+        macs_ensembler=2 * c * c if model.ensemblers[0].kind == "stacking" else 0,
     )
 
 
 def mac_count(model: MoEModel, trace: ExecutionTrace) -> int:
     """Total multiply-accumulates for one prediction: the base, the gate and the trace's components."""
+    for name, ids in (("expert", trace.expert_tails), ("ensembler", trace.ensemblers)):
+        for k in ids:
+            if not 0 <= k < model.num_experts:
+                raise ShapeError(f"trace references absent {name} {k}")
     cost = model.cost
-    total = cost.macs_base + cost.macs_gate
-    for k in trace.expert_tails:
-        if not 0 <= k < model.num_experts:
-            raise ShapeError(f"trace references absent expert {k}")
-        total += cost.macs_expert_tail[k]
-    for k in trace.ensemblers:
-        if not 0 <= k < model.num_experts:
-            raise ShapeError(f"trace references absent ensembler {k}")
-        total += cost.macs_ensembler[k]
-    return total
+    tails, combines = len(trace.expert_tails), len(trace.ensemblers)
+    return cost.macs_base + cost.macs_gate + tails * cost.macs_expert_tail + combines * cost.macs_ensembler
 
 
 def stacking_inputs(base_probs: np.ndarray, expert_probs: np.ndarray) -> np.ndarray:
@@ -410,6 +405,9 @@ def model_from_doc(doc: dict) -> MoEModel:
     jsonio.check_format_version(doc, 1, "model checkpoint")
     try:
         base = network_from_doc(jsonio.get_value(doc, "base", dict), "base")
+        shared_prefix = jsonio.get_value(doc, "shared_prefix", int)
+        if shared_prefix != base.tap_index + 1:
+            raise PipelineError(f"key 'shared_prefix': {shared_prefix}, not base tap_index + 1 = {base.tap_index + 1}")
         gate = gate_from_doc(jsonio.get_value(doc, "gate", dict), "gate")
         experts = jsonio.get_value(doc, "experts", list)
         ensemblers = jsonio.get_value(doc, "ensemblers", list)
@@ -427,7 +425,6 @@ def model_from_doc(doc: dict) -> MoEModel:
             gate=gate,
             experts=[network_from_doc(e, f"experts[{i}]") for i, e in enumerate(experts)],
             ensemblers=[ensembler_from_doc(e, f"ensemblers[{i}]") for i, e in enumerate(ensemblers)],
-            shared_prefix=jsonio.get_value(doc, "shared_prefix", int),
             centroids=centroids,
             temperature=temperature,
         )

@@ -88,10 +88,6 @@ class Network:
     def prelogit_dim(self) -> int:
         return self.layers[-1].in_dim
 
-    @property
-    def tap_dim(self) -> int:
-        return self.layers[self.tap_index].out_dim
-
     def copy(self) -> "Network":
         return Network(
             layers=[Layer(l.weight.copy(), l.bias.copy(), l.activation) for l in self.layers],

@@ -12,7 +12,6 @@ the gate included, is trained by ``nn.sgd_train``.
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import time
 from dataclasses import asdict, dataclass, field, replace
@@ -38,6 +37,7 @@ from .model import (
     Ensembler,
     Gate,
     MoEModel,
+    check_tails,
     ensembler_from_doc,
     ensembler_to_doc,
     gate_from_doc,
@@ -178,11 +178,7 @@ def expert_tail(base: Network) -> Network:
     layers = base.layers[base.tap_index + 1 :]
     if not layers:
         raise ShapeError("base has no layers beyond the tap; experts would be empty")
-    tail = Network(
-        layers=[copy.deepcopy(l) for l in layers],
-        tap_index=max(len(layers) - 2, 0),
-    )
-    return tail
+    return Network(layers=layers, tap_index=max(len(layers) - 2, 0)).copy()
 
 
 def train_expert(
@@ -405,11 +401,11 @@ def _stage_list(payload: dict, key: str, length: int) -> list:
     return items
 
 
-def _stage_gate(payload: dict, key: str, shape: tuple[int, int]) -> Gate:
-    """The gate document at payload[key], checked to have the plan's [rows, dim] shape."""
-    gate = gate_from_doc(jsonio.get_value(payload, key, dict), key)
+def _stage_gate(payload: dict, shape: tuple[int, int]) -> Gate:
+    """The gate document at payload["gate"], checked to have the plan's [rows, dim] shape."""
+    gate = gate_from_doc(jsonio.get_value(payload, "gate", dict), "gate")
     if gate.weight.shape != shape:
-        raise PipelineError(f"key {key!r}: expected a {list(shape)} gate, got {list(gate.weight.shape)}")
+        raise PipelineError(f"key 'gate': expected a {list(shape)} gate, got {list(gate.weight.shape)}")
     return gate
 
 
@@ -463,7 +459,13 @@ def run_pipeline(
         return {"network": network_to_doc(state["base"])}
 
     def restore_base(p: dict) -> None:
-        state["base"] = network_from_doc(jsonio.get_value(p, "network", dict), "network")
+        net = state["base"] = network_from_doc(jsonio.get_value(p, "network", dict), "network")
+        dims = [net.input_dim, *(l.out_dim for l in net.layers)]
+        if (dims, net.tap_index) != (list(plan.layer_dims), plan.tap_index):
+            raise PipelineError(
+                f"key 'network': layer_dims {dims} with tap_index {net.tap_index}, "
+                f"not the plan's {list(plan.layer_dims)} with tap_index {plan.tap_index}"
+            )
 
     run_stage("base", compute_base, restore_base)
     base = state["base"]
@@ -515,7 +517,7 @@ def run_pipeline(
     gate_shape = (plan.num_experts, base.prelogit_dim)
 
     def restore_gate(p: dict) -> None:
-        state["gate"] = _stage_gate(p, "gate", gate_shape)
+        state["gate"] = _stage_gate(p, gate_shape)
 
     run_stage("gate", compute_gate, restore_gate)
 
@@ -545,7 +547,8 @@ def run_pipeline(
     def restore_experts(p: dict) -> None:
         docs = _stage_list(p, "experts", plan.num_experts)
         state["experts"] = [network_from_doc(doc, f"experts[{k}]") for k, doc in enumerate(docs)]
-        state["gate"] = _stage_gate(p, "gate", gate_shape)
+        check_tails(base, state["experts"])
+        state["gate"] = _stage_gate(p, gate_shape)
         state["final_weights"] = jsonio.get_array(p, "final_weights", (len(ds), plan.num_experts))
         state["zero_mass_rows"] = jsonio.get_value(p, "zero_mass_rows", int)
 
@@ -569,6 +572,9 @@ def run_pipeline(
     def restore_ensemblers(p: dict) -> None:
         docs = _stage_list(p, "ensemblers", plan.num_experts)
         state["ensemblers"] = [ensembler_from_doc(doc, f"ensemblers[{k}]") for k, doc in enumerate(docs)]
+        for k, ens in enumerate(state["ensemblers"]):
+            if ens.kind != plan.ensembler:
+                raise PipelineError(f"key 'ensemblers[{k}].kind': {ens.kind!r}, but the plan has {plan.ensembler!r}")
 
     run_stage("ensemblers", compute_ensemblers, restore_ensemblers)
 
@@ -577,7 +583,6 @@ def run_pipeline(
         gate=state["gate"],
         experts=state["experts"],
         ensemblers=state["ensemblers"],
-        shared_prefix=plan.tap_index + 1,
         centroids=centroids,
         temperature=init.temperature,
     )

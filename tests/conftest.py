@@ -62,17 +62,7 @@ def random_model(
         ]
     else:
         ens = [Ensembler(kind=ensembler) for _ in range(num_experts)]
-    return MoEModel(base=base, gate=gate, experts=experts, ensemblers=ens, shared_prefix=1)
-
-
-def mixed_model(rng, kinds) -> MoEModel:
-    """random_model with one expert per given ensembler kind."""
-    scaffold = random_model(rng, num_experts=len(kinds))
-    ensemblers = [
-        Ensembler(kind, rng.normal(size=(3, 6)), rng.normal(size=3)) if kind == "stacking" else Ensembler(kind)
-        for kind in kinds
-    ]
-    return MoEModel(scaffold.base, scaffold.gate, scaffold.experts, ensemblers, shared_prefix=1)
+    return MoEModel(base=base, gate=gate, experts=experts, ensemblers=ens)
 
 
 def tie_gate(model: MoEModel) -> None:
@@ -136,5 +126,5 @@ def staged_recipe(ds: LabeledDataset, plan: TrainPlan, order=None) -> MoEModel:
         ensemblers[k] = train_ensembler(plan.ensembler, fp, experts[k], ds, weights[:, k], cfg)
     return MoEModel(
         base=base, gate=gate, experts=experts, ensemblers=ensemblers,
-        shared_prefix=plan.tap_index + 1, centroids=centroids, temperature=init.temperature,
+        centroids=centroids, temperature=init.temperature,
     )

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from conftest import blob_dataset, mixed_model, random_model, staged_recipe
+from conftest import blob_dataset, random_model, staged_recipe
 from test_nn import max_grad_rel_error, sample_safe_case
 
 from moe_forge.analysis import oracle_per_class_eval
@@ -357,7 +357,7 @@ def test_mac_counts_match_hand_fixtures_and_never_grow_with_threshold():
     experts = [random_network(rng, [8, 3], tap_index=0) for _ in range(2)]
     gate = Gate(weight=rng.normal(size=(2, 8)), bias=rng.normal(size=2))
     fixture = MoEModel(base=base, gate=gate, experts=experts,
-                       ensemblers=[Ensembler(kind="bagging")] * 2, shared_prefix=1)
+                       ensemblers=[Ensembler(kind="bagging")] * 2)
 
     base_only = fixture.cost.macs_base
     exited = mac_count(fixture, ExecutionTrace())
@@ -372,7 +372,7 @@ def test_mac_counts_match_hand_fixtures_and_never_grow_with_threshold():
         _small_trained_model(),
         random_model(np.random.default_rng(3), ensembler="stacking"),
         random_model(np.random.default_rng(4), ensembler="none"),
-        mixed_model(np.random.default_rng(5), ("stacking", "none", "bagging", "stacking")),
+        random_model(np.random.default_rng(5), num_experts=4, ensembler="stacking"),
     ]
     for m in models:
         curve = sweep_thresholds(m, data, taus)

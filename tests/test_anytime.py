@@ -25,7 +25,7 @@ from moe_forge import model as model_mod
 from moe_forge.model import ENSEMBLER_KINDS, Ensembler, ExecutionTrace, Gate, MoEModel, evaluate_dataset, mac_count
 from moe_forge.nn import Layer, Network, forward_batch
 
-from conftest import blob_dataset, mixed_model, random_model, random_network
+from conftest import blob_dataset, random_model, random_network
 
 
 def fixed_output_model(
@@ -53,7 +53,7 @@ def fixed_output_model(
     ]
     gate = Gate(weight=np.zeros((k, 6)), bias=np.log(np.asarray(gate_probs)))
     ens = [Ensembler("none") for _ in range(k)]
-    return MoEModel(base=base, gate=gate, experts=experts, ensemblers=ens, shared_prefix=1)
+    return MoEModel(base=base, gate=gate, experts=experts, ensemblers=ens)
 
 
 class TestScores:
@@ -68,7 +68,7 @@ class TestScores:
         model.base.layers[-1].bias[:] = [800.0, 0.0]
         rebuilt = MoEModel(
             base=model.base, gate=model.gate, experts=model.experts,
-            ensemblers=model.ensemblers, shared_prefix=1,
+            ensemblers=model.ensemblers,
         )
         np.testing.assert_array_equal(anytime_scores(rebuilt, np.zeros(4)), [0.0, 0.0])
 
@@ -82,7 +82,7 @@ class TestThresholdRule:
         # Renormalized over the executed set, expert 0 gets weight one.
         np.testing.assert_allclose(out.probs, [0.5, 0.5], atol=1e-12)
         cost = model.cost
-        assert out.macs == cost.macs_base + cost.macs_gate + cost.macs_expert_tail[0]
+        assert out.macs == cost.macs_base + cost.macs_gate + cost.macs_expert_tail
 
     def test_threshold_above_every_score_exits_with_the_base(self):
         model = fixed_output_model()
@@ -150,7 +150,7 @@ class TestOtherPolicies:
         assert not out.exited
         assert out.executed_experts == (0,)
         assert out.macs == (
-            model.cost.macs_base + model.cost.macs_gate + model.cost.macs_expert_tail[0]
+            model.cost.macs_base + model.cost.macs_gate + model.cost.macs_expert_tail
         )
 
     def test_gate_confidence_exits_when_the_gate_is_unsure(self):
@@ -371,20 +371,10 @@ class TestSelectThreshold:
 
 POLICY_TAUS = (0.0, 0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0)
 ONE_HOT = np.eye(4, dtype=bool)  # the slots of one expert of four
-SWEEP_MODELS = {  # ensembler kinds
-    "none": ("none",) * 4,
-    "bagging": ("bagging",) * 4,
-    "stacking": ("stacking",) * 4,
-    "mixed": ("stacking", "none", "bagging", "stacking"),
-}
-KIND_CASES = (*ENSEMBLER_KINDS, "mixed")
 
 
 def kind_model(rng, kind: str) -> MoEModel:
-    """random_model with four experts of one ensembler kind, or, for "mixed", SWEEP_MODELS' mixed
-    kinds."""
-    if kind == "mixed":
-        return mixed_model(rng, SWEEP_MODELS["mixed"])
+    """random_model with four experts of one ensembler kind."""
     return random_model(rng, num_experts=4, ensembler=kind)
 
 
@@ -435,7 +425,7 @@ def experts_run_on(runs: Counter, tap: np.ndarray) -> list[int]:
 class TestConditionalExecution:
     """Per-sample calls run only the selected experts and match the dense evaluation bit for bit."""
 
-    @pytest.mark.parametrize("kind", KIND_CASES)
+    @pytest.mark.parametrize("kind", ENSEMBLER_KINDS)
     def test_per_sample_paths_equal_the_dense_evaluation(self, rng, kind):
         x = rng.normal(size=(25, 4))
         model = kind_model(rng, kind)
@@ -476,7 +466,7 @@ class TestConditionalExecution:
                 anytime_predict(model, rng.normal(size=4), AnytimeConfig(tau=tau, policy=policy))
         assert [s.shape for s in slots] == [(1, 4)] * 9
 
-    @pytest.mark.parametrize("kind", KIND_CASES)
+    @pytest.mark.parametrize("kind", ENSEMBLER_KINDS)
     def test_only_the_selected_expert_tails_run(self, rng, monkeypatch, kind):
         model = kind_model(rng, kind)
         runs = count_tail_runs(monkeypatch, model)
@@ -539,17 +529,17 @@ def distinct_tap_model(rng, kind: str) -> MoEModel:
 class TestConditionalSweep:
     """A sweep runs each expert tail only on the rows some threshold executes, with the dense curve."""
 
-    @pytest.mark.parametrize("kinds", SWEEP_MODELS)
+    @pytest.mark.parametrize("kind", ENSEMBLER_KINDS)
     @pytest.mark.parametrize("policy", POLICIES)
-    def test_curve_equals_the_dense_sweep(self, rng, policy, kinds):
-        model = mixed_model(rng, SWEEP_MODELS[kinds])
+    def test_curve_equals_the_dense_sweep(self, rng, policy, kind):
+        model = kind_model(rng, kind)
         ds = blob_dataset(seed=64, samples_per_mode=20)
         curve = sweep_thresholds(model, ds, SWEEP_TAUS, policy)
         assert curve == dense_curve(model, ds, SWEEP_TAUS, policy)
         assert any(0 < p.exit_ratio < 1 for p in curve.points)
 
     @pytest.mark.parametrize("policy", ["base_confidence", "gate_confidence"])
-    @pytest.mark.parametrize("kind", KIND_CASES)
+    @pytest.mark.parametrize("kind", ENSEMBLER_KINDS)
     def test_top1_policies_run_the_top_tails_of_rows_that_do_not_always_exit(self, rng, monkeypatch, policy, kind):
         model = distinct_tap_model(rng, kind)
         ds = blob_dataset(seed=65, samples_per_mode=20)
@@ -568,7 +558,7 @@ class TestConditionalSweep:
         assert runs == Counter({(int(chosen[i]), fp.tap[i].tobytes()): 1 for i in np.flatnonzero(running)})
         assert curve == dense_curve(model, ds, taus, policy)
 
-    @pytest.mark.parametrize("kind", KIND_CASES)
+    @pytest.mark.parametrize("kind", ENSEMBLER_KINDS)
     def test_alpha_sweep_with_tau_zero_runs_each_needed_tail_once(self, rng, monkeypatch, kind):
         model = distinct_tap_model(rng, kind)
         ds = blob_dataset(seed=66, samples_per_mode=20)
@@ -619,7 +609,7 @@ class TestConditionalSweep:
         base = random_network(rng, [16, 256, 256, 10])
         experts = [random_network(rng, [256, 256, 10]) for _ in range(8)]
         gate = Gate(weight=rng.normal(scale=0.1, size=(8, 256)), bias=rng.normal(size=8))
-        model = MoEModel(base, gate, experts, [Ensembler("bagging") for _ in range(8)], shared_prefix=1)
+        model = MoEModel(base, gate, experts, [Ensembler("bagging") for _ in range(8)])
         x = rng.normal(size=(300, 16))
         dense = evaluate_dataset(model, x)
         ds = LabeledDataset(x, dense.base.probs.argmax(axis=1), 10)

@@ -18,7 +18,7 @@ from moe_forge.model import ExecutionTrace, evaluate_dataset, load_model, mac_co
 from moe_forge.nn import SgdConfig, forward_batch, network_to_doc
 from moe_forge.training import TrainPlan, run_pipeline
 
-from conftest import blob_dataset, mixed_model, random_model, random_network, tie_gate
+from conftest import blob_dataset, random_model, random_network, tie_gate
 
 
 def make_config(tmp_path: Path, **overrides) -> Path:
@@ -456,14 +456,11 @@ class TestEval:
 class TestTop1Routing:
     """The CLI's top-1 figures are the gate_confidence policy at tau 0, which never exits."""
 
-    @pytest.mark.parametrize("kind", ["none", "bagging", "stacking", "mixed"])
+    @pytest.mark.parametrize("kind", ["none", "bagging", "stacking"])
     @pytest.mark.parametrize("gate", ["random_gate", "tied_gate", "uniform_gate"])
     def test_gate_confidence_at_tau_zero_equals_per_row_top1_predict(self, rng, kind, gate):
         x = rng.normal(size=(60, 4))
-        if kind == "mixed":  # each kind in one run
-            model = mixed_model(rng, ("stacking", "none", "bagging", "stacking"))
-        else:
-            model = random_model(rng, num_experts=4, ensembler=kind)
+        model = random_model(rng, num_experts=4, ensembler=kind)
         if gate == "tied_gate":  # every row routes to expert 1, the lower index of the tied top experts
             tie_gate(model)
         elif gate == "uniform_gate":  # every gate probability is 1/K, so every row routes to expert 0
@@ -845,12 +842,25 @@ class TestMalformedCheckpoints:
     def test_an_expert_off_the_base_tail_layout(self, doc, rng, tmp_path, capsys, dims):
         doc["experts"][1] = json.loads(dumps(network_to_doc(random_network(rng, dims))))
         err = self.eval_doc(tmp_path, capsys, doc)
-        assert "expert 1 has layers [6->" in err and "not the base tail's [6->6 relu, 6->3 identity]" in err
+        assert "experts[1] has layers [6->" in err and "not the base tail's [6->6 relu, 6->3 identity]" in err
 
     def test_an_expert_with_another_hidden_activation(self, doc, tmp_path, capsys):
         doc["experts"][2]["activations"][0] = "identity"
         err = self.eval_doc(tmp_path, capsys, doc)
-        assert "expert 2 has layers [6->6 identity, 6->3 identity], not the base tail's" in err
+        assert "experts[2] has layers [6->6 identity, 6->3 identity], not the base tail's" in err
+
+    @pytest.mark.parametrize(
+        "slot, kind, named", [(1, "none", "none, stacking"), (0, "bagging", "bagging, stacking")], ids=["none", "bagging"]
+    )
+    def test_ensemblers_of_mixed_kinds(self, doc, tmp_path, capsys, slot, kind, named):
+        doc["ensemblers"][slot] = {"kind": kind}
+        assert f"ensemblers mix kinds {named}; a model has one kind" in self.eval_doc(tmp_path, capsys, doc)
+
+    @pytest.mark.parametrize("value", [0, 2])
+    def test_a_shared_prefix_off_the_base_tap(self, doc, tmp_path, capsys, value):
+        doc["shared_prefix"] = value
+        err = self.eval_doc(tmp_path, capsys, doc)
+        assert f"key 'shared_prefix': {value}, not base tap_index + 1 = 1" in err
 
     def test_centroids_of_the_wrong_dim(self, doc, tmp_path, capsys):
         doc["centroids"] = {"k": 3, "dim": 5, "means": [0.0] * 15}

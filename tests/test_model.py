@@ -9,6 +9,8 @@ from moe_forge import model as model_mod
 from moe_forge.errors import ShapeError
 from moe_forge.gate_init import Centroids
 from moe_forge.model import (
+    ENSEMBLER_KINDS,
+    CostModel,
     Ensembler,
     ExecutionTrace,
     Gate,
@@ -26,7 +28,7 @@ from moe_forge.model import (
 )
 from moe_forge.nn import forward_batch, init_network, softmax
 
-from conftest import mixed_model, random_model, random_network, tie_gate
+from conftest import random_model, random_network, tie_gate
 
 
 class TestGate:
@@ -104,7 +106,7 @@ def mac_fixture_model(ensembler: str = "bagging") -> MoEModel:
         ]
     else:
         ens = [Ensembler(ensembler) for _ in range(2)]
-    return MoEModel(base=base, gate=gate, experts=experts, ensemblers=ens, shared_prefix=1)
+    return MoEModel(base=base, gate=gate, experts=experts, ensemblers=ens)
 
 
 class TestMacAccounting:
@@ -115,6 +117,7 @@ class TestMacAccounting:
         model = mac_fixture_model()
         trace = ExecutionTrace(expert_tails=(0,), ensemblers=(0,))
         # 56 (base) + 16 (gate 8x2) + 24 (tail 8x3) + 0 (bagging)
+        assert model.cost.macs_expert_tail == 24
         assert mac_count(model, trace) == 96
 
     def test_empty_trace_charges_the_base_and_gate(self):
@@ -136,25 +139,33 @@ class TestMacAccounting:
     def test_bagging_and_none_cost_nothing(self):
         for kind in ("bagging", "none"):
             model = mac_fixture_model(kind)
-            assert model.cost.macs_ensembler == (0, 0)
+            assert model.cost.macs_ensembler == 0
 
     def test_stacking_costs_two_c_squared(self):
         model = mac_fixture_model("stacking")
-        assert model.cost.macs_ensembler == (18, 18)
+        assert model.cost.macs_ensembler == 18
 
     def test_trace_naming_absent_expert_rejected(self):
         model = mac_fixture_model()
         with pytest.raises(ShapeError):
             mac_count(model, ExecutionTrace(expert_tails=(5,)))
 
-    @pytest.mark.parametrize(
-        "kinds",
-        [("none",) * 4, ("bagging",) * 4, ("stacking",) * 4, ("stacking", "none", "bagging", "stacking")],
-        ids=["none", "bagging", "stacking", "mixed"],
-    )
-    def test_slot_macs_equal_the_scalar_count_of_each_row(self, rng, kinds):
-        # Every tail costs the same; in the mixed case a wrong ensembler index changes the count.
-        model = mixed_model(rng, kinds)
+    def test_trace_naming_absent_ensembler_rejected(self):
+        model = mac_fixture_model("stacking")
+        with pytest.raises(ShapeError, match="trace references absent ensembler 2"):
+            mac_count(model, ExecutionTrace(expert_tails=(0, 1), ensemblers=(0, 2)))
+
+    @pytest.mark.parametrize("kind, ensembler", [("none", 0), ("bagging", 0), ("stacking", 18)])
+    def test_cost_model_holds_one_int_per_component(self, kind, ensembler):
+        cost = mac_fixture_model(kind).cost
+        # 56 (base 4x8 + 8x3), 24 (tail 8x3), 16 (gate 8x2), 2*C^2 for stacking
+        assert cost == CostModel(macs_base=56, macs_expert_tail=24, macs_gate=16, macs_ensembler=ensembler)
+        assert all(type(v) is int for v in vars(cost).values())
+
+    @pytest.mark.parametrize("kind", ENSEMBLER_KINDS)
+    def test_slot_macs_equal_the_scalar_count_of_each_row(self, rng, kind):
+        # Every slot costs one tail and one ensembler; stacking makes the ensembler's share non-zero.
+        model = random_model(rng, num_experts=4, ensembler=kind)
         slots = rng.random((40, 4)) < 0.35
         got = slot_macs(model, slots)
         assert got.shape == (40,)
@@ -228,13 +239,14 @@ def per_expert_reference(model: MoEModel, x: np.ndarray):
     return fp, gate_probs, experts, combined
 
 
-def tail_model(rng, kinds, tail) -> MoEModel:
-    """mixed_model with the base's tail, and so every expert, of layer widths `tail`."""
-    scaffold = mixed_model(rng, kinds)
+def tail_model(rng, kind, tail) -> MoEModel:
+    """A four-expert random_model of one ensembler kind whose base tail, and so every expert, has
+    layer widths `tail`."""
+    scaffold = random_model(rng, num_experts=4, ensembler=kind)
     base = random_network(rng, [4, *tail])
-    experts = [random_network(rng, list(tail)) for _ in kinds]
-    gate = Gate(rng.normal(size=(len(kinds), tail[-2])), rng.normal(size=len(kinds)))
-    return MoEModel(base, gate, experts, scaffold.ensemblers, shared_prefix=1)
+    experts = [random_network(rng, list(tail)) for _ in range(4)]
+    gate = Gate(rng.normal(size=(4, tail[-2])), rng.normal(size=4))
+    return MoEModel(base, gate, experts, scaffold.ensemblers)
 
 
 class TestStackedTails:
@@ -243,14 +255,10 @@ class TestStackedTails:
     @pytest.mark.parametrize(
         "tail", [(6, 3), (6, 6, 3), (6, 9, 2, 3)], ids=["one_layer", "two_layers", "three_layers"]
     )
-    @pytest.mark.parametrize(
-        "kinds",
-        [("none",) * 4, ("bagging",) * 4, ("stacking",) * 4, ("stacking", "none", "bagging", "stacking")],
-        ids=["none", "bagging", "stacking", "mixed"],
-    )
+    @pytest.mark.parametrize("kind", ENSEMBLER_KINDS)
     @pytest.mark.parametrize("tied", [False, True], ids=["random_gate", "tied_gate"])
-    def test_dense_pass_equals_each_tail_alone(self, rng, kinds, tied, tail):
-        model = tail_model(rng, kinds, tail)
+    def test_dense_pass_equals_each_tail_alone(self, rng, kind, tied, tail):
+        model = tail_model(rng, kind, tail)
         if tied:  # top1_slots routes every row to expert 1, the lower index of the tied top experts
             tie_gate(model)
         block = model_mod._BLOCK_ROWS
@@ -289,7 +297,7 @@ class TestStackedTails:
 
     def test_an_in_place_edit_of_an_expert_reaches_every_path(self, rng):
         model = random_model(rng, num_experts=4)
-        shared = MoEModel(model.base, model.gate, model.experts, model.ensemblers, shared_prefix=1)
+        shared = MoEModel(model.base, model.gate, model.experts, model.ensemblers)
         assert np.shares_memory(shared._tails[0][0], model._tails[0][0])
         x = rng.normal(size=(6, 4))
         before = evaluate_dataset(model, x)
@@ -330,33 +338,48 @@ class TestModelValidation:
         experts[2] = random_network(rng, dims)
         experts[2].layers[0].activation = activation
         with pytest.raises(ShapeError) as exc:
-            MoEModel(model.base, model.gate, experts, model.ensemblers, shared_prefix=1)
-        assert str(exc.value) == f"expert 2 has layers [{layers}], not the base tail's [6->6 relu, 6->3 identity]"
+            MoEModel(model.base, model.gate, experts, model.ensemblers)
+        assert str(exc.value) == f"experts[2] has layers [{layers}], not the base tail's [6->6 relu, 6->3 identity]"
 
-    def test_shared_prefix_must_match_tap(self, rng):
-        model = random_model(rng)
-        with pytest.raises(ShapeError):
-            MoEModel(
-                base=model.base,
-                gate=model.gate,
-                experts=model.experts,
-                ensemblers=model.ensemblers,
-                shared_prefix=2,
-            )
+    @pytest.mark.parametrize(
+        "kinds, named",
+        [
+            (("bagging", "none", "bagging"), "bagging, none"),
+            (("stacking", "bagging", "stacking"), "bagging, stacking"),
+            (("none", "stacking", "bagging"), "bagging, none, stacking"),
+        ],
+        ids=["bagging_none", "stacking_bagging", "all_three"],
+    )
+    def test_ensemblers_of_mixed_kinds_are_rejected(self, rng, kinds, named):
+        model = random_model(rng, ensembler="stacking")
+        ensemblers = [model.ensemblers[k] if kind == "stacking" else Ensembler(kind) for k, kind in enumerate(kinds)]
+        with pytest.raises(ShapeError) as exc:
+            MoEModel(model.base, model.gate, model.experts, ensemblers)
+        assert str(exc.value) == f"ensemblers mix kinds {named}; a model has one kind"
+
+    @pytest.mark.parametrize(
+        "dims, tap_index", [([4, 6, 3], 0), ([4, 6, 6, 3], 0), ([4, 6, 6, 3], 1)], ids=["two_layers", "tap_0", "tap_1"]
+    )
+    def test_shared_prefix_is_the_base_tap_plus_one(self, rng, dims, tap_index):
+        base = random_network(rng, dims, tap_index=tap_index)
+        experts = [random_network(rng, [6, *dims[tap_index + 2 :]]) for _ in range(2)]
+        gate = Gate(np.zeros((2, 6)), np.zeros(2))
+        model = MoEModel(base, gate, experts, [Ensembler("bagging")] * 2)
+        assert model.shared_prefix == tap_index + 1 == model_to_doc(model)["shared_prefix"]
 
     @pytest.mark.parametrize("rows", [2, 4, 5])
     def test_gate_needs_one_row_per_expert(self, rng, rows):
         model = random_model(rng)
         bad_gate = Gate(weight=np.zeros((rows, 6)), bias=np.zeros(rows))
         with pytest.raises(ShapeError, match=f"gate has {rows} rows, must have one per expert"):
-            MoEModel(model.base, bad_gate, model.experts, model.ensemblers, shared_prefix=1)
+            MoEModel(model.base, bad_gate, model.experts, model.ensemblers)
 
     @pytest.mark.parametrize("shape", [(3, 5), (2, 6), (4, 6)])
     def test_centroids_need_one_row_per_expert_of_the_prelogit_dim(self, rng, shape):
         model = random_model(rng)
         with pytest.raises(ShapeError, match=rf"centroids have shape \({shape[0]}, {shape[1]}\)"):
             MoEModel(
-                model.base, model.gate, model.experts, model.ensemblers, shared_prefix=1,
+                model.base, model.gate, model.experts, model.ensemblers,
                 centroids=Centroids(means=rng.normal(size=shape)),
             )
 

@@ -46,6 +46,11 @@ from moe_forge.training import (
 from conftest import blob_dataset, random_model, staged_recipe
 
 
+def network_doc(dims: list[int]) -> dict:
+    """The JSON document of a fresh network of the given layer widths, tapped at layer 0."""
+    return json.loads(dumps(network_to_doc(init_network(dims, tap_index=0, seed=0))))
+
+
 def small_plan(**overrides) -> TrainPlan:
     """A plan sized for sub-second pipeline runs."""
     defaults = dict(
@@ -379,7 +384,7 @@ def uniform_gate_model(num_experts: int, num_classes: int, expert_biases: list[n
     ]
     gate = Gate(weight=np.zeros((num_experts, 6)), bias=np.zeros(num_experts))
     ens = [Ensembler("none") for _ in range(num_experts)]
-    return MoEModel(base=base, gate=gate, experts=experts, ensemblers=ens, shared_prefix=1)
+    return MoEModel(base=base, gate=gate, experts=experts, ensemblers=ens)
 
 
 class TestEStep:
@@ -697,8 +702,36 @@ class TestPipelineCheckpoints:
                 "key 'gate': expected a [2, 6] gate, got [3, 6]",
             ),
             ("ensemblers", lambda p: p["ensemblers"][0].update(kind="stack"), "unknown ensembler kind 'stack'"),
+            (
+                "ensemblers",
+                lambda p: p["ensemblers"].__setitem__(1, {"kind": "none"}),
+                "key 'ensemblers[1].kind': 'none', but the plan has 'bagging'",
+            ),
+            (
+                "ensemblers",
+                lambda p: p.update(ensemblers=[{"kind": "none"}] * 2),
+                "key 'ensemblers[0].kind': 'none', but the plan has 'bagging'",
+            ),
+            (
+                "experts",
+                lambda p: p["experts"].__setitem__(0, network_doc([6, 6, 3])),
+                "experts[0] has layers [6->6 relu, 6->3 identity], not the base tail's [6->3 identity]",
+            ),
+            (
+                "base",
+                lambda p: p.__setitem__("network", network_doc([4, 5, 3])),
+                "key 'network': layer_dims [4, 5, 3] with tap_index 0, not the plan's [4, 6, 3] with tap_index 0",
+            ),
+            (
+                "base",
+                lambda p: p["network"].update(tap_index=1),
+                "key 'network': layer_dims [4, 6, 3] with tap_index 1, not the plan's [4, 6, 3] with tap_index 0",
+            ),
         ],
-        ids=["base", "gate", "experts", "gate_init", "ensemblers", "inertia_history", "gate_rows", "kind"],
+        ids=[
+            "base", "gate", "experts", "gate_init", "ensemblers", "inertia_history", "gate_rows", "kind",
+            "plan_kind", "plan_kind_everywhere", "expert_layout", "base_dims", "base_tap",
+        ],
     )
     def test_malformed_stage_file_names_the_file_and_the_key(self, tmp_path, stage, corrupt, message):
         ds = blob_dataset(seed=59, samples_per_mode=15)
