@@ -193,18 +193,10 @@ def convex_envelope(points: Sequence[CurvePoint]) -> TradeoffCurve:
     accuracy exists) are dropped first, then points on or below a chord
     between two survivors.  Ties keep the earliest input point.
     """
-    seen: set[tuple[float, float]] = set()
-    unique: list[CurvePoint] = []
-    for p in points:
-        key = (p.mean_macs, p.accuracy)
-        if key not in seen:
-            seen.add(key)
-            unique.append(p)
-    unique.sort(key=lambda p: (p.mean_macs, -p.accuracy))
-
     pareto: list[CurvePoint] = []
     best = -math.inf
-    for p in unique:
+    # The sort is stable and a point must beat the best so far, so equal points keep the earliest.
+    for p in sorted(points, key=lambda p: (p.mean_macs, -p.accuracy)):
         if p.accuracy > best:
             pareto.append(p)
             best = p.accuracy

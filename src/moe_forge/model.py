@@ -23,6 +23,7 @@ from .nn import (
     ForwardPass,
     Network,
     forward_batch,
+    layer_layout,
     network_from_doc,
     network_to_doc,
     softmax,
@@ -180,8 +181,7 @@ class MoEModel:
 def check_tails(base: Network, experts: list[Network]) -> None:
     """Raise ShapeError unless every expert has the layer shapes and activations of the base's tail."""
     tail, *layouts = [
-        ", ".join(f"{l.in_dim}->{l.out_dim} {l.activation}" for l in layers)
-        for layers in (base.layers[base.tap_index + 1 :], *(e.layers for e in experts))
+        layer_layout(layers) for layers in (base.layers[base.tap_index + 1 :], *(e.layers for e in experts))
     ]
     for k, layout in enumerate(layouts):
         if layout != tail:
@@ -420,6 +420,8 @@ def model_from_doc(doc: dict) -> MoEModel:
         temperature = None
         if "temperature" in doc:
             temperature = jsonio.get_value(doc, "temperature", (float, type(None)))
+            if temperature is not None and not temperature > 0:
+                raise PipelineError(f"key 'temperature': must be positive, got {temperature}")
         return MoEModel(
             base=base,
             gate=gate,

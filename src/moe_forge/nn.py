@@ -95,6 +95,11 @@ class Network:
         )
 
 
+def layer_layout(layers: list[Layer]) -> str:
+    """The layers' shapes and activations, as in ``4->6 relu, 6->3 identity``."""
+    return ", ".join(f"{l.in_dim}->{l.out_dim} {l.activation}" for l in layers)
+
+
 @dataclass(frozen=True)
 class SgdConfig:
     learning_rate: float = 0.1

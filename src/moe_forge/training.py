@@ -16,7 +16,7 @@ import hashlib
 import time
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .nn import (
     SgdConfig,
     forward_batch,
     init_network,
+    layer_layout,
     network_from_doc,
     network_to_doc,
     sgd_train,
@@ -61,6 +62,8 @@ from .seeding import derive_seed
 
 NEGATIVE_HANDLING = ("reweight", "sample")
 ROUTING = ("per_sample", "per_class")
+
+_Value = TypeVar("_Value")
 
 
 @dataclass(frozen=True)
@@ -342,7 +345,8 @@ def dataset_hash(ds: LabeledDataset) -> str:
 
 
 class _StageStore:
-    """Loads and saves per-stage checkpoints, guarding plan/data identity.
+    """Runs the pipeline's stages, each from its checkpoint file when there is one, guarding
+    plan/data identity, and keeps the record of each stage.
 
     Version 2 payloads write gates and ensemblers with the model
     checkpoint's document helpers.
@@ -356,41 +360,42 @@ class _StageStore:
             self.dir.mkdir(parents=True, exist_ok=True)
         self.plan_digest = plan_digest
         self.data_digest = data_digest
+        self.stages: list[StageRecord] = []
 
-    def load(self, name: str, restore: Callable[[dict], None]) -> bool:
-        """Restore the stage from its checkpoint file; False when there is none.
+    def run(self, name: str, compute: Callable[[], tuple[_Value, dict]], restore: Callable[[dict], _Value]) -> _Value:
+        """The stage's value: ``restore`` of the payload in its checkpoint file, or else the
+        value of ``compute``, which returns it with the payload to save.
 
         A malformed file raises PipelineError naming the file and the key.
         """
-        if self.dir is None:
-            return False
-        path = self.dir / f"{name}.json"
-        if not path.exists():
-            return False
-        doc = jsonio.load_json(path)
-        jsonio.check_format_version(doc, self.FORMAT_VERSION, f"stage checkpoint {path}")
-        if doc.get("plan_hash") != self.plan_digest or doc.get("data_hash") != self.data_digest:
-            raise PipelineError(
-                f"stage checkpoint {path} was produced by a different plan or dataset; "
-                "remove the output directory to retrain"
-            )
-        try:
-            restore(jsonio.get_value(doc, "payload", dict))
-        except (PipelineError, ShapeError) as exc:
-            raise PipelineError(f"stage checkpoint {path}: {exc}") from exc
-        return True
-
-    def save(self, name: str, payload: dict) -> None:
-        if self.dir is None:
-            return
-        doc = {
-            "format_version": self.FORMAT_VERSION,
-            "stage": name,
-            "plan_hash": self.plan_digest,
-            "data_hash": self.data_digest,
-            "payload": payload,
-        }
-        jsonio.save_json(self.dir / f"{name}.json", doc)
+        begin = time.perf_counter()
+        path = self.dir / f"{name}.json" if self.dir is not None else None
+        loaded = path is not None and path.exists()
+        if loaded:
+            doc = jsonio.load_json(path)
+            jsonio.check_format_version(doc, self.FORMAT_VERSION, f"stage checkpoint {path}")
+            if doc.get("plan_hash") != self.plan_digest or doc.get("data_hash") != self.data_digest:
+                raise PipelineError(
+                    f"stage checkpoint {path} was produced by a different plan or dataset; "
+                    "remove the output directory to retrain"
+                )
+            try:
+                value = restore(jsonio.get_value(doc, "payload", dict))
+            except (PipelineError, ShapeError) as exc:
+                raise PipelineError(f"stage checkpoint {path}: {exc}") from exc
+        else:
+            value, payload = compute()
+            if path is not None:
+                doc = {
+                    "format_version": self.FORMAT_VERSION,
+                    "stage": name,
+                    "plan_hash": self.plan_digest,
+                    "data_hash": self.data_digest,
+                    "payload": payload,
+                }
+                jsonio.save_json(path, doc)
+        self.stages.append(StageRecord(name, time.perf_counter() - begin, loaded))
+        return value
 
 
 def _stage_list(payload: dict, key: str, length: int) -> list:
@@ -440,67 +445,60 @@ def run_pipeline(
     plan.check_data(ds)
     out_path = Path(out_dir) if out_dir is not None else None
     store = _StageStore(out_path, plan_hash(plan), dataset_hash(ds))
-    stages: list[StageRecord] = []
-
-    def run_stage(name: str, compute: Callable[[], dict], restore: Callable[[dict], None]) -> None:
-        """Fill ``state`` from the stage's checkpoint, or by ``compute``, which returns the payload to save."""
-        begin = time.perf_counter()
-        loaded = store.load(name, restore)
-        if not loaded:
-            store.save(name, compute())
-        stages.append(StageRecord(name, time.perf_counter() - begin, loaded))
-
-    state: dict = {}
 
     # Step 1: base model on all data.
-    def compute_base() -> dict:
+    def compute_base() -> tuple[Network, dict]:
         cfg = replace(plan.sgd_base, seed=derive_seed(plan.seed, "base"))
-        state["base"] = train_base(ds, plan.layer_dims, plan.tap_index, cfg)
-        return {"network": network_to_doc(state["base"])}
+        base = train_base(ds, plan.layer_dims, plan.tap_index, cfg)
+        return base, {"network": network_to_doc(base)}
 
-    def restore_base(p: dict) -> None:
-        net = state["base"] = network_from_doc(jsonio.get_value(p, "network", dict), "network")
-        dims = [net.input_dim, *(l.out_dim for l in net.layers)]
-        if (dims, net.tap_index) != (list(plan.layer_dims), plan.tap_index):
-            raise PipelineError(
-                f"key 'network': layer_dims {dims} with tap_index {net.tap_index}, "
-                f"not the plan's {list(plan.layer_dims)} with tap_index {plan.tap_index}"
-            )
+    def restore_base(p: dict) -> Network:
+        net = network_from_doc(jsonio.get_value(p, "network", dict), "network")
+        planned = init_network(list(plan.layer_dims), plan.tap_index, seed=0)  # the layout train_base builds
+        got, want = (f"[{layer_layout(n.layers)}] with tap_index {n.tap_index}" for n in (net, planned))
+        if got != want:
+            raise PipelineError(f"key 'network': layers {got}, not the plan's {want}")
+        return net
 
-    run_stage("base", compute_base, restore_base)
-    base = state["base"]
+    base = store.run("base", compute_base, restore_base)
     fp = forward_batch(base, ds.features)
 
     # Step 2: cluster the base embeddings into the initial soft assignment.
-    def compute_init() -> dict:
+    def compute_init() -> tuple[tuple[Centroids, InitialGate, np.ndarray | None], dict]:
         centroids = kmeans(fp.prelogits, plan.num_experts, seed=derive_seed(plan.seed, "kmeans"))
         init = initial_gate(fp.prelogits, centroids, plan.temperature)
         class_map = per_class_assignment(init, ds) if plan.routing == "per_class" else None
-        state.update(centroids=centroids, init=init, class_map=class_map)
-        return {
+        payload = {
             "centroid_means": centroids.means,
             "inertia_history": centroids.inertia_history,
             "temperature": init.temperature,
             "weights": init.weights,
             "class_map": class_map,
         }
+        return (centroids, init, class_map), payload
 
-    def restore_init(p: dict) -> None:
+    def restore_init(p: dict) -> tuple[Centroids, InitialGate, np.ndarray | None]:
         k, dim = plan.num_experts, base.prelogit_dim
         history = tuple(jsonio.get_array(p, "inertia_history", None).tolist())
-        state["centroids"] = Centroids(jsonio.get_array(p, "centroid_means", (k, dim)), history)
-        state["init"] = InitialGate(
+        centroids = Centroids(jsonio.get_array(p, "centroid_means", (k, dim)), history)
+        temperature = float(jsonio.get_value(p, "temperature", float))
+        if not temperature > 0:
+            raise PipelineError(f"key 'temperature': must be positive, got {temperature}")
+        init = InitialGate(
             weights=jsonio.get_array(p, "weights", (len(ds), k)),
-            temperature=float(jsonio.get_value(p, "temperature", float)),
+            temperature=temperature,
         )
-        state["class_map"] = None
-        if jsonio.get_value(p, "class_map", (list, np.ndarray, type(None))) is not None:
-            state["class_map"] = jsonio.get_array(p, "class_map", (ds.num_classes,), dtype=np.int64)
+        class_map = jsonio.get_value(p, "class_map", (list, np.ndarray, type(None)))
+        if (class_map is None) == (plan.routing == "per_class"):
+            found = "null" if class_map is None else "a map"
+            raise PipelineError(f"key 'class_map': {found}, but the plan's routing is {plan.routing!r}")
+        if class_map is not None:
+            class_map = jsonio.get_array(p, "class_map", (ds.num_classes,), dtype=np.int64)
+            if not ((class_map >= 0) & (class_map < k)).all():
+                raise PipelineError(f"key 'class_map': entries must lie in 0..{k - 1}, got {class_map.tolist()}")
+        return centroids, init, class_map
 
-    run_stage("gate_init", compute_init, restore_init)
-    init: InitialGate = state["init"]
-    centroids: Centroids = state["centroids"]
-    class_map = state["class_map"]
+    centroids, init, class_map = store.run("gate_init", compute_init, restore_init)
 
     if plan.routing == "per_class":
         targets = np.zeros_like(init.weights)
@@ -509,25 +507,21 @@ def run_pipeline(
         targets = init.weights
 
     # Step 3: fit the gate to the initial assignment.
-    def compute_gate() -> dict:
+    def compute_gate() -> tuple[Gate, dict]:
         cfg = replace(plan.sgd_gate, seed=derive_seed(plan.seed, "gate"))
-        state["gate"] = train_gate(targets, fp, cfg)
-        return {"gate": gate_to_doc(state["gate"])}
+        gate = train_gate(targets, fp, cfg)
+        return gate, {"gate": gate_to_doc(gate)}
 
     gate_shape = (plan.num_experts, base.prelogit_dim)
-
-    def restore_gate(p: dict) -> None:
-        state["gate"] = _stage_gate(p, gate_shape)
-
-    run_stage("gate", compute_gate, restore_gate)
+    fitted_gate = store.run("gate", compute_gate, lambda p: _stage_gate(p, gate_shape))
 
     # Step 4: experts, in epoch segments separated by posterior re-estimation.
-    def compute_experts() -> dict:
-        gate = state["gate"]
+    def compute_experts() -> tuple[tuple[list[Network], list[jsonio.Fragment], Gate, np.ndarray, int], dict]:
         lengths = segment_lengths(plan.expert_epochs, plan.em_steps)
         weights = smooth_weights(targets, plan.gamma)
         starts = [expert_tail(base)] * plan.num_experts  # sgd_train never changes its input
         experts = _train_expert_set(starts, weights, ds, plan, lengths[0], 0, fp)
+        gate = fitted_gate
         zero_rows = 0
         for step in range(1, plan.em_steps + 1):
             posterior = e_step(fp, gate, experts, ds.labels)
@@ -536,53 +530,54 @@ def run_pipeline(
             weights = smooth_weights(posterior.q, plan.gamma)  # the weights m_step trained under
         # Encoded once here; the checkpoint and model.json both write this text.
         text = [jsonio.encode(network_to_doc(e)) for e in experts]
-        state.update(experts=experts, gate=gate, final_weights=weights, zero_mass_rows=zero_rows, encoded=text)
-        return {
+        payload = {
             "experts": text,
             "gate": gate_to_doc(gate),
             "final_weights": weights,
             "zero_mass_rows": zero_rows,
         }
+        return (experts, text, gate, weights, zero_rows), payload
 
-    def restore_experts(p: dict) -> None:
+    def restore_experts(p: dict) -> tuple[list[Network], list[jsonio.Fragment], Gate, np.ndarray, int]:
         docs = _stage_list(p, "experts", plan.num_experts)
-        state["experts"] = [network_from_doc(doc, f"experts[{k}]") for k, doc in enumerate(docs)]
-        check_tails(base, state["experts"])
-        state["gate"] = _stage_gate(p, gate_shape)
-        state["final_weights"] = jsonio.get_array(p, "final_weights", (len(ds), plan.num_experts))
-        state["zero_mass_rows"] = jsonio.get_value(p, "zero_mass_rows", int)
+        experts = [network_from_doc(doc, f"experts[{k}]") for k, doc in enumerate(docs)]
+        check_tails(base, experts)
+        text = [jsonio.encode(network_to_doc(e)) for e in experts]
+        weights = jsonio.get_array(p, "final_weights", (len(ds), plan.num_experts))
+        return experts, text, _stage_gate(p, gate_shape), weights, jsonio.get_value(p, "zero_mass_rows", int)
 
-    run_stage("experts", compute_experts, restore_experts)
+    experts, encoded, gate, final_weights, zero_mass_rows = store.run("experts", compute_experts, restore_experts)
 
     # Step 5: ensemblers, once every expert is fully trained.
-    def compute_ensemblers() -> dict:
-        ensemblers = state["ensemblers"] = [
+    def compute_ensemblers() -> tuple[list[Ensembler], dict]:
+        ensemblers = [
             train_ensembler(
                 plan.ensembler,
                 fp,
                 expert,
                 ds,
-                state["final_weights"][:, k],
+                final_weights[:, k],
                 replace(plan.sgd_ensembler, seed=derive_seed(plan.seed, "ensembler", k)),
             )
-            for k, expert in enumerate(state["experts"])
+            for k, expert in enumerate(experts)
         ]
-        return {"ensemblers": [ensembler_to_doc(e) for e in ensemblers]}
+        return ensemblers, {"ensemblers": [ensembler_to_doc(e) for e in ensemblers]}
 
-    def restore_ensemblers(p: dict) -> None:
+    def restore_ensemblers(p: dict) -> list[Ensembler]:
         docs = _stage_list(p, "ensemblers", plan.num_experts)
-        state["ensemblers"] = [ensembler_from_doc(doc, f"ensemblers[{k}]") for k, doc in enumerate(docs)]
-        for k, ens in enumerate(state["ensemblers"]):
+        ensemblers = [ensembler_from_doc(doc, f"ensemblers[{k}]") for k, doc in enumerate(docs)]
+        for k, ens in enumerate(ensemblers):
             if ens.kind != plan.ensembler:
                 raise PipelineError(f"key 'ensemblers[{k}].kind': {ens.kind!r}, but the plan has {plan.ensembler!r}")
+        return ensemblers
 
-    run_stage("ensemblers", compute_ensemblers, restore_ensemblers)
+    ensemblers = store.run("ensemblers", compute_ensemblers, restore_ensemblers)
 
     model = MoEModel(
         base=base,
-        gate=state["gate"],
-        experts=state["experts"],
-        ensemblers=state["ensemblers"],
+        gate=gate,
+        experts=experts,
+        ensemblers=ensemblers,
         centroids=centroids,
         temperature=init.temperature,
     )
@@ -590,14 +585,13 @@ def run_pipeline(
         model=model,
         init=init,
         class_map=class_map,
-        stages=stages,
-        zero_mass_rows=state["zero_mass_rows"],
+        stages=store.stages,
+        zero_mass_rows=zero_mass_rows,
         base_pass=fp,
     )
     if out_path is not None:
         _write_diagnostics(out_path, result, targets, ds)
-        # A trained experts stage left its encoded tails; a loaded one leaves them to save_model.
-        save_model(out_path / "model.json", model, state.get("encoded"))
+        save_model(out_path / "model.json", model, encoded)
     return result
 
 

@@ -268,6 +268,11 @@ class TestEnvelope:
     def test_duplicates_collapse_to_one_point(self):
         p = CurvePoint(0.1, 0.4, 5.0, 0.0)
         assert convex_envelope([p, p, p]).points == [p]
+        # Equal (mean_macs, accuracy) points of different tau: the first input is the one kept.
+        first, *rest = [CurvePoint(tau, 0.4, 5.0, 0.0) for tau in (0.5, 0.1, 0.3)]
+        cheap = CurvePoint(0.9, 0.2, 1.0, 0.0)
+        hull = convex_envelope([first, *rest, cheap]).points
+        assert hull == [cheap, first] and hull[1] is first
 
     def test_matches_the_cubic_oracle_on_random_integer_clouds(self, rng):
         for trial in range(60):

@@ -862,6 +862,16 @@ class TestMalformedCheckpoints:
         err = self.eval_doc(tmp_path, capsys, doc)
         assert f"key 'shared_prefix': {value}, not base tap_index + 1 = 1" in err
 
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_a_temperature_that_is_not_positive(self, doc, tmp_path, capsys, value):
+        doc["temperature"] = value
+        path, out = tmp_path / "bad.json", tmp_path / "analysis"
+        path.write_text(json.dumps(doc))
+        assert main(["eval", str(path), str(eval_data_file(tmp_path)), "--analyze", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err == f"error: {path}: key 'temperature': must be positive, got {value}\n"
+
     def test_centroids_of_the_wrong_dim(self, doc, tmp_path, capsys):
         doc["centroids"] = {"k": 3, "dim": 5, "means": [0.0] * 15}
         assert "centroids have shape (3, 5)" in self.eval_doc(tmp_path, capsys, doc)

@@ -634,6 +634,22 @@ class TestPipelineCheckpoints:
         for name in ("base", "gate_init", "gate", "experts", "ensemblers"):
             assert (tmp_path / "stages" / f"{name}.json").exists()
 
+    def test_a_resumed_run_returns_what_the_fresh_run_returned(self, tmp_path):
+        ds = blob_dataset(seed=61, samples_per_mode=20)
+        plan = small_plan(routing="per_class", em_steps=2, ensembler="stacking")
+        fresh = run_pipeline(ds, plan, tmp_path)
+        resumed = run_pipeline(ds, plan, tmp_path)
+        assert [(s.name, s.loaded) for s in resumed.stages] == [(s.name, True) for s in fresh.stages]
+        np.testing.assert_array_equal(resumed.init.weights, fresh.init.weights)
+        assert resumed.init.temperature == fresh.init.temperature
+        np.testing.assert_array_equal(resumed.class_map, fresh.class_map)
+        assert resumed.class_map.dtype == fresh.class_map.dtype
+        assert resumed.zero_mass_rows == fresh.zero_mass_rows
+        for name in ("tap", "prelogits", "logits", "probs"):
+            np.testing.assert_array_equal(getattr(resumed.base_pass, name), getattr(fresh.base_pass, name))
+        assert resumed.model.centroids.inertia_history == fresh.model.centroids.inertia_history
+        assert dumps(model_to_doc(resumed.model)) == dumps(model_to_doc(fresh.model))
+
     def test_deleting_a_late_stage_recomputes_only_that_tail(self, tmp_path):
         ds = blob_dataset(seed=52, samples_per_mode=20)
         plan = small_plan()
@@ -684,64 +700,122 @@ class TestPipelineCheckpoints:
         assert payload("gate")["gate"]["rows"] == 2
 
     @pytest.mark.parametrize(
-        "stage, corrupt, message",
+        "stage, corrupt, message, routing",
         [
-            ("base", lambda p: p["network"].pop("weights"), "missing key 'network.weights'"),
-            ("gate", lambda p: p["gate"].update(bias="0.5"), "key 'gate.bias': expected a list, got a string"),
+            ("base", lambda p: p["network"].pop("weights"), "missing key 'network.weights'", "per_sample"),
+            (
+                "gate",
+                lambda p: p["gate"].update(bias="0.5"),
+                "key 'gate.bias': expected a list, got a string",
+                "per_sample",
+            ),
             (
                 "experts",
                 lambda p: p["experts"][1]["weights"][0].pop(),
                 "key 'experts[1].weights[0]': expected 18 values for shape [3, 6], got 17",
+                "per_sample",
             ),
-            ("gate_init", lambda p: p.update(temperature=None), "key 'temperature': expected a number"),
-            ("ensemblers", lambda p: p["ensemblers"].pop(), "key 'ensemblers': expected 2 entries"),
-            ("gate_init", lambda p: p.pop("inertia_history"), "missing key 'inertia_history'"),
+            ("gate_init", lambda p: p.update(temperature=None), "key 'temperature': expected a number", "per_sample"),
+            ("ensemblers", lambda p: p["ensemblers"].pop(), "key 'ensemblers': expected 2 entries", "per_sample"),
+            ("gate_init", lambda p: p.pop("inertia_history"), "missing key 'inertia_history'", "per_sample"),
             (
                 "experts",
                 lambda p: p["gate"].update(rows=3, weight=p["gate"]["weight"] + [0.0] * 6, bias=[0.0] * 3),
                 "key 'gate': expected a [2, 6] gate, got [3, 6]",
+                "per_sample",
             ),
-            ("ensemblers", lambda p: p["ensemblers"][0].update(kind="stack"), "unknown ensembler kind 'stack'"),
+            (
+                "ensemblers",
+                lambda p: p["ensemblers"][0].update(kind="stack"),
+                "unknown ensembler kind 'stack'",
+                "per_sample",
+            ),
             (
                 "ensemblers",
                 lambda p: p["ensemblers"].__setitem__(1, {"kind": "none"}),
                 "key 'ensemblers[1].kind': 'none', but the plan has 'bagging'",
+                "per_sample",
             ),
             (
                 "ensemblers",
                 lambda p: p.update(ensemblers=[{"kind": "none"}] * 2),
                 "key 'ensemblers[0].kind': 'none', but the plan has 'bagging'",
+                "per_sample",
             ),
             (
                 "experts",
                 lambda p: p["experts"].__setitem__(0, network_doc([6, 6, 3])),
                 "experts[0] has layers [6->6 relu, 6->3 identity], not the base tail's [6->3 identity]",
+                "per_sample",
             ),
             (
                 "base",
                 lambda p: p.__setitem__("network", network_doc([4, 5, 3])),
-                "key 'network': layer_dims [4, 5, 3] with tap_index 0, not the plan's [4, 6, 3] with tap_index 0",
+                "key 'network': layers [4->5 relu, 5->3 identity] with tap_index 0, "
+                "not the plan's [4->6 relu, 6->3 identity] with tap_index 0",
+                "per_sample",
             ),
             (
                 "base",
                 lambda p: p["network"].update(tap_index=1),
-                "key 'network': layer_dims [4, 6, 3] with tap_index 1, not the plan's [4, 6, 3] with tap_index 0",
+                "key 'network': layers [4->6 relu, 6->3 identity] with tap_index 1, "
+                "not the plan's [4->6 relu, 6->3 identity] with tap_index 0",
+                "per_sample",
+            ),
+            (
+                "base",
+                lambda p: p["network"]["activations"].__setitem__(0, "identity"),
+                "key 'network': layers [4->6 identity, 6->3 identity] with tap_index 0, "
+                "not the plan's [4->6 relu, 6->3 identity] with tap_index 0",
+                "per_sample",
+            ),
+            (
+                "gate_init",
+                lambda p: p.update(class_map=[-1, 0, 1]),
+                "key 'class_map': entries must lie in 0..1, got [-1, 0, 1]",
+                "per_class",
+            ),
+            (
+                "gate_init",
+                lambda p: p.update(class_map=[7, 0, 1]),
+                "key 'class_map': entries must lie in 0..1, got [7, 0, 1]",
+                "per_class",
+            ),
+            (
+                "gate_init",
+                lambda p: p.update(class_map=None),
+                "key 'class_map': null, but the plan's routing is 'per_class'",
+                "per_class",
+            ),
+            (
+                "gate_init",
+                lambda p: p.update(class_map=[0, 1, 1]),
+                "key 'class_map': a map, but the plan's routing is 'per_sample'",
+                "per_sample",
+            ),
+            (
+                "gate_init",
+                lambda p: p.update(temperature=0),
+                "key 'temperature': must be positive, got 0.0",
+                "per_sample",
             ),
         ],
         ids=[
             "base", "gate", "experts", "gate_init", "ensemblers", "inertia_history", "gate_rows", "kind",
-            "plan_kind", "plan_kind_everywhere", "expert_layout", "base_dims", "base_tap",
+            "plan_kind", "plan_kind_everywhere", "expert_layout", "base_dims", "base_tap", "base_activation",
+            "class_map_negative", "class_map_beyond_k", "class_map_missing", "class_map_unplanned", "temperature_zero",
         ],
     )
-    def test_malformed_stage_file_names_the_file_and_the_key(self, tmp_path, stage, corrupt, message):
+    def test_malformed_stage_file_names_the_file_and_the_key(self, tmp_path, stage, corrupt, message, routing):
         ds = blob_dataset(seed=59, samples_per_mode=15)
-        run_pipeline(ds, small_plan(), tmp_path)
+        plan = small_plan(routing=routing)
+        run_pipeline(ds, plan, tmp_path)
         path = tmp_path / "stages" / f"{stage}.json"
         doc = json.loads(path.read_text())
         corrupt(doc["payload"])
         path.write_text(json.dumps(doc))
         with pytest.raises(PipelineError) as info:
-            run_pipeline(ds, small_plan(), tmp_path)
+            run_pipeline(ds, plan, tmp_path)
         assert str(info.value).startswith(f"stage checkpoint {path}: ")
         assert message in str(info.value)
 
